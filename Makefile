@@ -17,11 +17,15 @@ race:
 
 # The perf-trajectory artifact: run the full deterministic benchmark suite
 # (streaming decode, drain-and-stitch capture, multi-seed sweep, proday
-# end to end, fleet ingest, live serving tier) and write BENCH_9.json — the artifact
-# scripts/bench_check.sh gates regressions against. Bump the artifact
-# number alongside the ISSUE/PR number.
+# end to end, fleet ingest, live serving tier) and write the next
+# BENCH_N.json — one past the newest committed artifact, found with the
+# same numeric sort scripts/bench_check.sh uses to pick the gate's
+# baseline, so a run never overwrites a committed artifact.
 bench:
-	$(GO) run ./cmd/kprof -bench BENCH_9.json
+	@last=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 | sed 's/[^0-9]//g'); \
+	out=BENCH_$$(( $${last:-0} + 1 )).json; \
+	echo "bench: writing $$out"; \
+	$(GO) run ./cmd/kprof -bench $$out
 
 # Regression gate: quick benchmark run compared against the newest
 # committed BENCH_*.json (>15 % slower or more allocs per record fails).

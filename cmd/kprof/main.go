@@ -52,6 +52,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -105,7 +106,6 @@ func main() {
 		faultsOn   = flag.Bool("faults", false, "inject deterministic hardware faults into the capture (robustness testing)")
 		faultRate  = flag.Float64("faultrate", 0.01, "per-strobe fault probability in [0,1] (needs -faults)")
 		faultSeed  = flag.Uint64("faultseed", 1, "fault-injector seed; sweeps derive a per-seed stream from it (needs -faults)")
-		pipeline   = flag.Bool("pipeline", false, "decode drained segments on a background goroutine, overlapping readout with analysis (needs -drain)")
 		benchOut   = flag.String("bench", "", "run the benchmark suite and write the BENCH json artifact to this file (- for stdout)")
 		benchQuick = flag.Bool("benchquick", false, "trim the benchmark suite to the fast check-in configuration (needs -bench)")
 		benchCmp   = flag.String("benchcmp", "", "compare two BENCH json artifacts, 'old.json,new.json'; exits 1 on regression")
@@ -212,7 +212,7 @@ func main() {
 	if *drain {
 		mode = core.CaptureContinuous
 	}
-	drainCfg := core.DrainConfig{HighWater: *highWater, Interval: sim.Time(drainEvery.Nanoseconds()), Pipeline: *pipeline}
+	drainCfg := core.DrainConfig{HighWater: *highWater, Interval: sim.Time(drainEvery.Nanoseconds())}
 	var faultCfg *faults.Config
 	if *faultsOn {
 		if *faultRate < 0 || *faultRate > 1 {
@@ -329,28 +329,19 @@ func main() {
 				c.Overflowed = c.Overflowed || seg.Capture.Overflowed
 			}
 		}
-		f, err := os.Create(*save)
-		if err != nil {
+		if err := writeFile(*save, func(w io.Writer) error {
+			_, err := c.WriteTo(w)
+			return err
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
-		if _, err := c.WriteTo(f); err != nil {
-			fmt.Fprintln(os.Stderr, "kprof:", err)
-			os.Exit(1)
-		}
-		f.Close()
 	}
 	if *tagsOut != "" {
-		f, err := os.Create(*tagsOut)
-		if err != nil {
+		if err := writeFile(*tagsOut, s.Tags.Format); err != nil {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
-		if err := s.Tags.Format(f); err != nil {
-			fmt.Fprintln(os.Stderr, "kprof:", err)
-			os.Exit(1)
-		}
-		f.Close()
 	}
 
 	a := s.Analyze()
@@ -392,21 +383,13 @@ func runFleet(n int, mixSpec string, workers int, seed uint64, params workload.P
 	if err := res.Write(os.Stdout, top); err != nil {
 		return err
 	}
-	if jsonPath != "" {
-		w := os.Stdout
-		if jsonPath != "-" {
-			f, err := os.Create(jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.WriteJSON(w); err != nil {
-			return err
-		}
+	switch jsonPath {
+	case "":
+		return nil
+	case "-":
+		return res.WriteJSON(os.Stdout)
 	}
-	return nil
+	return writeFile(jsonPath, res.WriteJSON)
 }
 
 // runBench executes the benchmark suite and writes the BENCH json artifact
@@ -420,16 +403,10 @@ func runBench(path string, quick bool, seed uint64) error {
 		fmt.Fprintf(os.Stderr, "kprof: %-16s %9d records  %8.1f ns/record  %7.3f allocs/record  %6.1f B/record\n",
 			b.Name, b.Records, b.NsPerRecord, b.AllocsPerRecord, b.BytesPerRecord)
 	}
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "-" {
+		return rep.WriteJSON(os.Stdout)
 	}
-	return rep.WriteJSON(w)
+	return writeFile(path, rep.WriteJSON)
 }
 
 // runBenchCmp gates the artifact after the comma against the one before it,
@@ -496,32 +473,34 @@ func parseMix(spec string) (workload.ProdayMix, error) {
 // writeExports runs the file exporters requested on the command line.
 func writeExports(a *analyze.Analysis, pprofPath, tracePath string) error {
 	if pprofPath != "" {
-		f, err := os.Create(pprofPath)
-		if err != nil {
-			return err
-		}
-		if err := export.WritePprof(f, a, export.PprofOptions{}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(pprofPath, func(w io.Writer) error {
+			return export.WritePprof(w, a, export.PprofOptions{})
+		}); err != nil {
 			return err
 		}
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := export.WriteChromeTrace(f, a); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return writeFile(tracePath, func(w io.Writer) error {
+			return export.WriteChromeTrace(w, a)
+		})
 	}
 	return nil
+}
+
+// writeFile creates path, hands it to write, and closes it, returning the
+// first error of the three. A failed close is an error like a failed
+// write: it is where a buffered write-back reports a full disk, and
+// ignoring it would exit 0 over a truncated file.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func runScenario(m *core.Machine, scenario string, params workload.Params) error {

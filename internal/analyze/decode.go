@@ -322,44 +322,6 @@ func (d *Decoder) Push(r hw.Record, emit func(Event)) {
 	}
 }
 
-// PushBatch decodes a whole drained bank through the repair pipeline,
-// emitting exactly the events the same records would produce through
-// record-at-a-time Push calls. The common case — no suspect pending and
-// every interval in the bank below the suspect threshold — runs as a tight
-// batch unwrap with no per-record arbitration; an implausible stamp drops
-// to Push for as long as repair state is in play, then the batch scan
-// resumes.
-func (d *Decoder) PushBatch(rs []hw.Record, emit func(Event)) {
-	i := 0
-	if d.first && len(rs) > 0 {
-		d.records++
-		d.first = false
-		d.last = rs[0].Stamp
-		emit(d.event(rs[0], d.now, false))
-		i = 1
-	}
-	for i < len(rs) {
-		if !d.hasPending {
-			for ; i < len(rs); i++ {
-				r := rs[i]
-				delta := (r.Stamp - d.last) & d.mask
-				if d.repair.Enabled && delta >= d.suspect {
-					break
-				}
-				d.records++
-				d.now += sim.Time(delta) * d.tick
-				d.last = r.Stamp
-				emit(d.event(r, d.now, false))
-			}
-			if i >= len(rs) {
-				return
-			}
-		}
-		d.Push(rs[i], emit)
-		i++
-	}
-}
-
 // Flush emits any record still held by the repair buffer. An end-of-stream
 // suspect has no successor to arbitrate, so it is zero-advanced as corrupt
 // rather than allowed to yank the capture's end far forward.

@@ -94,17 +94,33 @@ func FuzzFaultedDecode(f *testing.F) {
 		if split > 0 {
 			segLen = len(recs)/int(split%8+2) + 1
 		}
-		rc := analyze.NewReconstructor(hw.Config{}, tags, analyze.ReconstructOptions{
-			Repair: analyze.DefaultRepair(),
-		})
-		for i, r := range recs {
-			rc.Push(r)
-			if (i+1)%segLen == 0 && i+1 < len(recs) {
+		opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
+		// rc takes the records one Push at a time, rb one PushBatch per
+		// segment — the drain path's shape. Both must reconstruct the same
+		// capture.
+		rc := analyze.NewReconstructor(hw.Config{}, tags, opts)
+		rb := analyze.NewReconstructor(hw.Config{}, tags, opts)
+		for lo := 0; lo < len(recs); lo += segLen {
+			hi := min(lo+segLen, len(recs))
+			for _, r := range recs[lo:hi] {
+				rc.Push(r)
+			}
+			rb.PushBatch(recs[lo:hi])
+			if hi < len(recs) {
 				// Odd splits are lossy boundaries, exercising force-close.
 				rc.EndSegment(uint64(split%2), false)
+				rb.EndSegment(uint64(split%2), false)
 			}
 		}
 		a := rc.Finish(false, 0)
+		b := rb.Finish(false, 0)
+		if b.Stats != a.Stats || b.Idle != a.Idle || b.Switches != a.Switches {
+			t.Fatalf("PushBatch diverges from Push: stats %+v idle %v switches %d, want %+v idle %v switches %d",
+				b.Stats, b.Idle, b.Switches, a.Stats, a.Idle, a.Switches)
+		}
+		if got, want := b.SummaryString(0), a.SummaryString(0); got != want {
+			t.Fatalf("PushBatch summary differs from Push:\n--- Push\n%s--- PushBatch\n%s", want, got)
+		}
 
 		if a.Stats.Records != len(recs) {
 			t.Fatalf("decoded %d records of %d", a.Stats.Records, len(recs))

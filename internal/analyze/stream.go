@@ -75,11 +75,12 @@ func (rc *Reconstructor) emit(ev Event) { rc.rec.feed(ev, rc.keepEvents) }
 // batch scan instead of a per-record call chain; the emitted event stream
 // is identical to pushing the records one at a time.
 //
-// The common-case loop is Decoder.PushBatch's fused into this package's
-// consumer: the decoded event goes straight to the reconstruction step
-// with one direct call, not through the per-record emit closure. Repair
-// arbitration (a pending suspect stamp) drops to the record-at-a-time
-// path until the decoder is back in steady state.
+// The common case — no suspect pending and every interval below the
+// suspect threshold — runs as a tight unwrap loop that hands each decoded
+// event straight to the reconstruction step with one direct call, not
+// through the per-record emit closure. Repair arbitration (a pending
+// suspect stamp) drops to the record-at-a-time Decoder.Push until the
+// decoder is back in steady state.
 func (rc *Reconstructor) PushBatch(rs []hw.Record) {
 	if rc.finished {
 		panic("analyze: PushBatch after Finish")

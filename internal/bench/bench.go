@@ -255,7 +255,7 @@ func Run(cfg Config) (*Report, error) {
 		ds, err := core.NewSession(m, core.ProfileConfig{
 			Mode:  core.CaptureContinuous,
 			Depth: 4096,
-			Drain: core.DrainConfig{Pipeline: true, Recycle: true},
+			Drain: core.DrainConfig{Recycle: true},
 		})
 		if err != nil {
 			panic(err)
@@ -325,7 +325,7 @@ func Run(cfg Config) (*Report, error) {
 		ps, err := core.NewSession(m, core.ProfileConfig{
 			Mode:  core.CaptureContinuous,
 			Depth: 4096,
-			Drain: core.DrainConfig{Pipeline: true, Recycle: true},
+			Drain: core.DrainConfig{Recycle: true},
 		})
 		if err != nil {
 			panic(err)

@@ -20,7 +20,7 @@ func drainPass() int {
 	s, err := core.NewSession(m, core.ProfileConfig{
 		Mode:  core.CaptureContinuous,
 		Depth: 4096,
-		Drain: core.DrainConfig{Pipeline: true, Recycle: true},
+		Drain: core.DrainConfig{Recycle: true},
 	})
 	if err != nil {
 		panic(err)

@@ -52,7 +52,7 @@ func serveBenchmarks(cfg Config, rep *Report) error {
 	s, err := core.NewSession(m, core.ProfileConfig{
 		Mode:  core.CaptureContinuous,
 		Depth: 4096,
-		Drain: core.DrainConfig{Pipeline: true, Recycle: true},
+		Drain: core.DrainConfig{Recycle: true},
 	})
 	if err != nil {
 		return err

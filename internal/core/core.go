@@ -104,11 +104,13 @@ const (
 // card's fill level when DrainConfig.Interval is zero.
 const DefaultDrainInterval = sim.Millisecond
 
-// DefaultPipelineDepth is the bounded-channel capacity between the drain
-// loop and the background reconstructor when DrainConfig.Pipeline is on: up
-// to this many drained-but-undecoded segments may be in flight before a
-// drain blocks on the decoder.
-const DefaultPipelineDepth = 4
+// recycleDepth is the bounded-channel capacity between the drain loop and
+// the background reconstructor of a recycling session: up to this many
+// drained-but-undecoded segments may be in flight before a drain blocks on
+// the decoder. It also caps the readout pool at recycleDepth+1 buffers, so
+// the records held host-side stay a few card readouts for any run length
+// while a brief decoder stall still does not block the simulation.
+const recycleDepth = 4
 
 // DrainConfig tunes continuous capture.
 type DrainConfig struct {
@@ -120,28 +122,21 @@ type DrainConfig struct {
 	// DefaultDrainInterval. The card has no interrupt line to the host —
 	// the front panel has only LEDs — so the host polls.
 	Interval sim.Time
-	// Pipeline overlaps drain readout with decoding: each drained segment
-	// is handed through a bounded channel to a background goroutine that
-	// streams it into a lean Reconstructor while the simulation (and the
-	// next drains) continue. When the session disarms, the already-decoded
-	// analysis is ready — AnalyzeLean returns it instead of re-decoding
-	// the segment store — and it is byte-identical to the serial path: the
-	// same records flow into the same reconstructor in the same order.
-	Pipeline bool
-	// PipelineDepth bounds the in-flight segment batches; 0 means
-	// DefaultPipelineDepth.
-	PipelineDepth int
-	// Recycle returns each drained record buffer to a pool once the
-	// pipelined decoder has consumed its batch, so a long continuous
-	// capture reads the card out into a handful of reused buffers instead
-	// of accumulating every segment's records host-side. It requires
-	// Pipeline, and it narrows the session's contract: segments retain
-	// only their loss metadata (Segment.Recycled, Capture.Records nil),
-	// so the capture cannot be re-decoded — Analyze and any AnalyzeLean
-	// call the pipelined result does not cover panic rather than silently
-	// analyzing an empty record list. Use it where only the final
-	// statistics matter (benchmarks, sweeps), not where the raw records
-	// are part of the product.
+	// Recycle streams the capture through a lean reconstruction as it
+	// drains: each drained segment is handed through a bounded channel to
+	// a background goroutine that decodes it while the simulation (and
+	// the next drains) continue, and the record buffer returns to a pool
+	// once the decoder has consumed it. A long continuous capture then
+	// reads the card out into a handful of reused buffers instead of
+	// accumulating every segment's records host-side, and when the session
+	// disarms the analysis is ready — AnalyzeLean returns it, byte-
+	// identical to decoding the retained segments. It narrows the
+	// session's contract: segments retain only their loss metadata
+	// (Segment.Recycled, Capture.Records nil), so the capture cannot be
+	// re-decoded — Analyze and any AnalyzeLean call the streamed result
+	// does not cover panic rather than silently analyzing an empty record
+	// list. Use it where only the final statistics matter (benchmarks,
+	// sweeps), not where the raw records are part of the product.
 	Recycle bool
 }
 
@@ -193,7 +188,7 @@ type Segment struct {
 	// count after the record buffer went back to the pool.
 	Records int
 	// Recycled marks a segment whose record buffer was returned to the
-	// drain pool after the pipelined decoder consumed it
+	// drain pool after the background decoder consumed it
 	// (DrainConfig.Recycle): Capture.Records is nil and only the loss
 	// metadata remains host-side.
 	Recycled bool
@@ -225,7 +220,7 @@ type Session struct {
 	// header slice per call.
 	stitchBuf []hw.Capture
 
-	// Pipelined-decode state (DrainConfig.Pipeline): the in-flight pipe
+	// Background-decode state (DrainConfig.Recycle): the in-flight pipe
 	// while armed, then the finished analysis and the number of segments
 	// it consumed once the session disarms.
 	pipe      *decodePipe
@@ -389,9 +384,6 @@ func NewSession(m *Machine, cfg ProfileConfig) (*Session, error) {
 		if cfg.Drain.Interval < 0 {
 			return nil, fmt.Errorf("core: negative drain interval %v", cfg.Drain.Interval)
 		}
-		if cfg.Drain.Recycle && !cfg.Drain.Pipeline {
-			return nil, fmt.Errorf("core: DrainConfig.Recycle requires Pipeline — only the background decoder knows when a drained buffer is consumed")
-		}
 	}
 	return s, nil
 }
@@ -416,10 +408,10 @@ func (s *Session) Arm() {
 	if s.mode == CaptureContinuous && s.drainEv == nil {
 		s.scheduleDrainPoll()
 	}
-	// The pipelined decoder starts on the first arm of a fresh capture; a
+	// The background decoder starts on the first arm of a fresh capture; a
 	// re-arm after Disarm already consumed its stream, so later segments
 	// fall back to the serial path (AnalyzeLean checks the coverage).
-	if s.mode == CaptureContinuous && s.drain.Pipeline && s.pipe == nil && s.pipedA == nil {
+	if s.mode == CaptureContinuous && s.drain.Recycle && s.pipe == nil && s.pipedA == nil {
 		s.startPipe()
 	}
 	s.notifyProgress()
@@ -484,27 +476,28 @@ func (s *Session) DrainErr() error { return s.drainErr }
 // stranded bank's drop count, so no loss is silent.
 func (s *Session) DrainErrs() int { return s.drainErrs }
 
-// decodePipe couples the drain loop to a background reconstructor: drained
-// segments travel through a bounded channel of record batches and are
-// decoded while the simulation runs on. The worker owns the reconstructor
-// exclusively; the main goroutine only sends batches and, after close,
-// reads the finished analysis — so the two sides never share mutable state.
+// decodePipe couples a recycling session's drain loop to a background
+// reconstructor: drained segments travel through a bounded channel of
+// record batches and are decoded while the simulation runs on. The worker
+// owns the reconstructor exclusively; the main goroutine only sends
+// batches and, after close, reads the finished analysis — so the two sides
+// never share mutable state.
 type decodePipe struct {
 	ch   chan pipeBatch
 	done chan struct{}
 	a    *analyze.Analysis
-	// free recycles drained readout buffers (DrainConfig.Recycle): the
-	// worker returns a batch's buffer here once the reconstructor has
-	// consumed its records, and the next drain reads the card out into
-	// it. The channel handoff is the synchronization — a buffer is never
-	// touched by both sides at once. Nil when recycling is off.
+	// free recycles drained readout buffers: the worker returns a batch's
+	// buffer here once the reconstructor has consumed its records, and
+	// the next drain reads the card out into it. The channel handoff is
+	// the synchronization — a buffer is never touched by both sides at
+	// once.
 	free chan *hw.ReadoutBuffer
 }
 
-// pipeBatch is one drained segment in flight: the records (read-only — on
-// an unrecycled session the segment store holds the same slice) and the
-// loss at its end boundary. buf, when non-nil, is the readout buffer the
-// records live in, returned to the pipe's free pool after consumption.
+// pipeBatch is one drained segment in flight: the records and the loss at
+// its end boundary. buf is the readout buffer the records live in,
+// returned to the pipe's free pool after consumption; it is nil on a
+// stranded segment, whose buffer the failed drain already returned.
 type pipeBatch struct {
 	records    []hw.Record
 	dropped    uint64
@@ -512,20 +505,14 @@ type pipeBatch struct {
 	buf        *hw.ReadoutBuffer
 }
 
-// startPipe launches the background decoder for a pipelined continuous
+// startPipe launches the background decoder for a recycling continuous
 // capture.
 func (s *Session) startPipe() {
-	depth := s.drain.PipelineDepth
-	if depth <= 0 {
-		depth = DefaultPipelineDepth
-	}
 	p := &decodePipe{
-		ch:   make(chan pipeBatch, depth),
+		ch:   make(chan pipeBatch, recycleDepth),
 		done: make(chan struct{}),
-	}
-	if s.drain.Recycle {
 		// One buffer per in-flight batch plus the one being drained into.
-		p.free = make(chan *hw.ReadoutBuffer, depth+1)
+		free: make(chan *hw.ReadoutBuffer, recycleDepth+1),
 	}
 	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
 		DiscardEvents: true,
@@ -614,7 +601,7 @@ func (s *Session) drainNow(rearm bool) {
 	// A recycling drain reads the card out into a pooled buffer; the pipe
 	// worker hands the buffer back once the decoder has consumed it.
 	var buf *hw.ReadoutBuffer
-	if s.drain.Recycle && s.pipe != nil {
+	if s.pipe != nil {
 		select {
 		case buf = <-s.pipe.free:
 		default:
@@ -657,7 +644,7 @@ func (s *Session) drainNow(rearm bool) {
 	}
 	if s.pipe != nil {
 		// Hand the segment to the background decoder. The send blocks only
-		// when PipelineDepth segments are already in flight — the bounded
+		// when recycleDepth segments are already in flight — the bounded
 		// channel is the pipeline's backpressure.
 		s.pipe.ch <- pipeBatch{records: c.Records, dropped: c.Dropped, overflowed: c.Overflowed, buf: buf}
 	}
@@ -700,7 +687,7 @@ func (s *Session) stitchList() []hw.Capture {
 func (s *Session) requireResident(op string) {
 	for _, seg := range s.segments {
 		if seg.Recycled {
-			panic("core: " + op + " needs the drained records, but DrainConfig.Recycle returned them to the readout pool; only the pipelined AnalyzeLean result is available")
+			panic("core: " + op + " needs the drained records, but DrainConfig.Recycle returned them to the readout pool; only the streamed AnalyzeLean result is available")
 		}
 	}
 }
@@ -726,7 +713,7 @@ func (s *Session) Analyze() *analyze.Analysis {
 // bank list alongside its report. Drained segments stream the same way:
 // the worker holds the segment store it already paid for, nothing more.
 func (s *Session) AnalyzeLean() *analyze.Analysis {
-	// A finished pipelined capture already decoded every segment in the
+	// A finished recycling capture already decoded every segment in the
 	// background; reuse it when it covers the whole capture (nothing
 	// drained after the pipe closed, nothing left on the card).
 	if s.pipedA != nil && s.pipedSegs == len(s.segments) &&
@@ -752,38 +739,6 @@ func (s *Session) AnalyzeLean() *analyze.Analysis {
 	}
 	rc.PushBatch(s.Card.Records())
 	return rc.Finish(s.Card.Overflowed(), s.Card.Dropped)
-}
-
-// AnalyzeLeanSharded is AnalyzeLean with the reconstruction sharded per
-// process context across workers goroutines (workers <= 0 selects
-// GOMAXPROCS), so a multi-core host speeds up a single capture's analysis.
-// The result is bit-identical to AnalyzeLean's whatever the worker count —
-// the sharded engine's merge is order-independent by construction (see
-// analyze.NewShardedReconstructor) — so goldens and reports cannot tell
-// the two apart. A finished pipelined capture short-circuits the same way
-// AnalyzeLean does: the background decoder already paid for the analysis.
-func (s *Session) AnalyzeLeanSharded(workers int) *analyze.Analysis {
-	if s.pipedA != nil && s.pipedSegs == len(s.segments) &&
-		s.Card.Stored() == 0 && s.Card.Dropped == 0 {
-		return s.pipedA
-	}
-	s.requireResident("AnalyzeLeanSharded")
-	sr := analyze.NewShardedReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		Repair: analyze.DefaultRepair(),
-	}, workers)
-	if len(s.segments) > 0 {
-		for _, seg := range s.segments {
-			sr.PushBatch(seg.Capture.Records)
-			sr.EndSegment(seg.Capture.Dropped, seg.Capture.Overflowed)
-		}
-		if s.Card.Stored() > 0 || s.Card.Dropped > 0 {
-			sr.PushBatch(s.Card.Records())
-			sr.EndSegment(s.Card.Dropped, s.Card.Overflowed())
-		}
-		return sr.Finish(false, 0)
-	}
-	sr.PushBatch(s.Card.Records())
-	return sr.Finish(s.Card.Overflowed(), s.Card.Dropped)
 }
 
 // ModuleOf maps function names to their kernel module, for subsystem

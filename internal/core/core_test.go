@@ -431,28 +431,13 @@ func TestReadoutViaSocketMatchesDirectDump(t *testing.T) {
 }
 
 // The pipelined decoder (readout overlapping decode on a background
-// goroutine) must be invisible in the output: a pipelined continuous run
-// yields a summary and segment accounting byte-identical to the serial
-// lean path over the same seeded workload.
+// goroutine, which the Recycle drain mode runs) must be invisible in the
+// output: a pipelined continuous run yields a summary and segment
+// accounting byte-identical to the serial lean path over the same seeded
+// workload.
 func TestPipelinedDecodeMatchesSerial(t *testing.T) {
 	run := func(pipeline bool) (*Session, *analyze.Analysis) {
-		m := NewMachine(kernel.Config{Seed: 11})
-		s, err := NewSession(m, ProfileConfig{
-			Mode:  CaptureContinuous,
-			Depth: 256,
-			Drain: DrainConfig{
-				HighWater: 64,
-				Interval:  20 * sim.Microsecond,
-				Pipeline:  pipeline,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Arm()
-		mallocStorm(m, 300)
-		m.K.Run(2 * sim.Second)
-		s.Disarm()
+		s := runForRecycle(t, pipeline)
 		if err := s.DrainErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -491,22 +476,19 @@ func TestPipelinedDecodeMatchesSerial(t *testing.T) {
 }
 
 // Analyzing while armed ("what has the profile seen so far?") stitches the
-// drained segments plus a live dump of the card's partial bank. In pipeline
-// mode that live tail is also decoded — later, by the background pipe, once
-// a drain actually reads it out. The two consumers must stay independent: a
-// mid-run Analyze may not perturb the pipe (or the simulation), and its
-// result must be byte-identical to the serial path's mid-run view.
+// drained segments plus a live dump of the card's partial bank. The
+// observation must be read-only: the mid-run view holds exactly the
+// records captured so far (every drained segment and the live tail, each
+// once), and it perturbs neither the drain-and-stitch pipeline nor the
+// simulation, so the finished capture analyzes byte-identically to an
+// unobserved run of the same seed.
 func TestMidRunAnalyzePipelineEquivalence(t *testing.T) {
-	run := func(pipeline bool) (*Session, *analyze.Analysis, *analyze.Analysis) {
+	run := func(observe bool) (*Session, *analyze.Analysis) {
 		m := NewMachine(kernel.Config{Seed: 11})
 		s, err := NewSession(m, ProfileConfig{
 			Mode:  CaptureContinuous,
 			Depth: 256,
-			Drain: DrainConfig{
-				HighWater: 64,
-				Interval:  20 * sim.Microsecond,
-				Pipeline:  pipeline,
-			},
+			Drain: DrainConfig{HighWater: 64, Interval: 20 * sim.Microsecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -514,40 +496,41 @@ func TestMidRunAnalyzePipelineEquivalence(t *testing.T) {
 		s.Arm()
 		mallocStorm(m, 300)
 		m.K.Run(1 * sim.Second)
-		// Mid-run observation: still armed, some segments drained, a
-		// partial bank live on the card.
-		if len(s.Segments()) < 2 {
-			t.Fatalf("only %d segments drained before the mid-run analyze", len(s.Segments()))
+		if observe {
+			// Mid-run observation: still armed, some segments drained, a
+			// partial bank live on the card.
+			if len(s.Segments()) < 2 || s.Card.Stored() == 0 {
+				t.Fatalf("mid-run state: %d segments drained, %d records live; want both", len(s.Segments()), s.Card.Stored())
+			}
+			seen := s.Card.Stored()
+			for _, seg := range s.Segments() {
+				seen += seg.Records
+			}
+			if mid := s.Analyze(); mid.Stats.Records != seen {
+				t.Fatalf("mid-run analysis decoded %d records, %d captured so far", mid.Stats.Records, seen)
+			}
 		}
-		mid := s.Analyze()
 		m.K.Run(2 * sim.Second)
 		s.Disarm()
-		return s, mid, s.AnalyzeLean()
+		if err := s.DrainErr(); err != nil {
+			t.Fatal(err)
+		}
+		return s, s.Analyze()
 	}
-	sSer, midSer, finSer := run(false)
-	sPipe, midPipe, finPipe := run(true)
+	sPlain, plain := run(false)
+	sObs, observed := run(true)
 
-	if got, want := midPipe.SummaryString(0), midSer.SummaryString(0); got != want {
-		t.Fatalf("mid-run summary differs between pipeline and serial:\n--- serial\n%s--- pipelined\n%s", want, got)
+	if len(sObs.Segments()) != len(sPlain.Segments()) {
+		t.Fatalf("segment counts differ: unobserved %d, observed %d", len(sPlain.Segments()), len(sObs.Segments()))
 	}
-	if midSer.Stats.Records <= 0 || midPipe.Stats.Records != midSer.Stats.Records {
-		t.Fatalf("mid-run records: serial %d, pipelined %d", midSer.Stats.Records, midPipe.Stats.Records)
+	if got, want := observed.SummaryString(0), plain.SummaryString(0); got != want {
+		t.Fatalf("final summary differs after a mid-run analyze:\n--- unobserved\n%s--- observed\n%s", want, got)
 	}
-
-	// The observation perturbed nothing: the finished captures agree with
-	// each other byte for byte, and the pipelined session still serves the
-	// background decoder's cached result.
-	if got, want := finPipe.SummaryString(0), finSer.SummaryString(0); got != want {
-		t.Fatalf("final summary differs after a mid-run analyze:\n--- serial\n%s--- pipelined\n%s", want, got)
+	if observed.Stats != plain.Stats {
+		t.Fatalf("final stats differ: unobserved %+v, observed %+v", plain.Stats, observed.Stats)
 	}
-	if finPipe.Stats != finSer.Stats {
-		t.Fatalf("final stats differ: serial %+v, pipelined %+v", finSer.Stats, finPipe.Stats)
-	}
-	if sPipe.AnalyzeLean() != finPipe {
-		t.Fatal("mid-run analyze evicted the pipelined analysis cache")
-	}
-	if sSer.DrainErr() != nil || sPipe.DrainErr() != nil {
-		t.Fatalf("drain errors: serial %v, pipelined %v", sSer.DrainErr(), sPipe.DrainErr())
+	if got, want := observed.SegmentsString(), plain.SegmentsString(); got != want {
+		t.Fatalf("segment tables differ:\n--- unobserved\n%s--- observed\n%s", want, got)
 	}
 }
 

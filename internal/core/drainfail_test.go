@@ -12,13 +12,14 @@ import (
 )
 
 // runGlitched profiles the same seeded workload the drain-equivalence tests
-// use, with an optional injector on the readout path. Because readout-class
+// use, with an optional injector on the readout path, retaining the drained
+// records or (recycle) streaming them through the background decoder. Because readout-class
 // faults never touch the latch path (and draw no randomness per strobe),
 // the strobe stream is bit-identical to a clean run's — and a failed drain
 // resets the card exactly like a successful one, so the fill-level
 // trajectory and every drain boundary line up too. That makes the clean run
 // a strobe-for-strobe reference for the glitched one.
-func runGlitched(t *testing.T, fc *faults.Config, pipeline bool) (*Session, *analyze.Analysis, Progress) {
+func runGlitched(t *testing.T, fc *faults.Config, recycle bool) (*Session, *analyze.Analysis, Progress) {
 	t.Helper()
 	m := NewMachine(kernel.Config{Seed: 11})
 	s, err := NewSession(m, ProfileConfig{
@@ -27,7 +28,7 @@ func runGlitched(t *testing.T, fc *faults.Config, pipeline bool) (*Session, *ana
 		Drain: DrainConfig{
 			HighWater: 64,
 			Interval:  20 * sim.Microsecond,
-			Pipeline:  pipeline,
+			Recycle:   recycle,
 		},
 		Faults: fc,
 	})
@@ -123,27 +124,28 @@ func TestGlitchedDrainCaptureContinues(t *testing.T) {
 	}
 }
 
-// TestGlitchedDrainPipelineMatchesSerial pins the pipelined decoder's view
-// of a glitched run to the serial path's: stranded segments flow through
-// the pipe as empty batches with their drop counts, so both paths see the
-// identical boundary sequence.
+// TestGlitchedDrainPipelineMatchesSerial pins the recycling decoder's view
+// of a glitched run to the serial path's: a failed drain hands its pooled
+// buffer straight back, and the stranded segment flows through the pipe as
+// an empty batch with its drop count, so both paths see the identical
+// boundary sequence.
 func TestGlitchedDrainPipelineMatchesSerial(t *testing.T) {
 	sSer, serial, _ := runGlitched(t, glitchAll, false)
 	sPipe, piped, _ := runGlitched(t, glitchAll, true)
 	if sSer.DrainErrs() == 0 || sSer.DrainErrs() != sPipe.DrainErrs() {
-		t.Fatalf("drain failures differ: serial %d, pipelined %d", sSer.DrainErrs(), sPipe.DrainErrs())
+		t.Fatalf("drain failures differ: serial %d, recycled %d", sSer.DrainErrs(), sPipe.DrainErrs())
 	}
 	if got, want := piped.SummaryString(0), serial.SummaryString(0); got != want {
-		t.Fatalf("pipelined summary differs from serial under glitched drains:\n--- serial\n%s--- pipelined\n%s", want, got)
+		t.Fatalf("recycled summary differs from serial under glitched drains:\n--- serial\n%s--- recycled\n%s", want, got)
 	}
 	if piped.Stats != serial.Stats {
-		t.Fatalf("stats differ: serial %+v, pipelined %+v", serial.Stats, piped.Stats)
+		t.Fatalf("stats differ: serial %+v, recycled %+v", serial.Stats, piped.Stats)
 	}
 	if got, want := piped.SegmentsString(), serial.SegmentsString(); got != want {
-		t.Fatalf("segment tables differ:\n--- serial\n%s--- pipelined\n%s", want, got)
+		t.Fatalf("segment tables differ:\n--- serial\n%s--- recycled\n%s", want, got)
 	}
-	// The pipelined run really used the background decoder's result.
+	// The recycling run really used the background decoder's result.
 	if sPipe.AnalyzeLean() != piped {
-		t.Fatal("pipelined analysis not cached")
+		t.Fatal("streamed analysis not cached")
 	}
 }

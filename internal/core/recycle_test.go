@@ -8,8 +8,9 @@ import (
 	"kprof/internal/sim"
 )
 
-// runForRecycle profiles the drain-equivalence workload with the pipelined
-// decoder, optionally recycling drained record buffers.
+// runForRecycle profiles the drain-equivalence workload, retaining the
+// drained records or (recycle) streaming them through the background
+// decoder into recycled buffers.
 func runForRecycle(t *testing.T, recycle bool) *Session {
 	t.Helper()
 	m := NewMachine(kernel.Config{Seed: 11})
@@ -19,7 +20,6 @@ func runForRecycle(t *testing.T, recycle bool) *Session {
 		Drain: DrainConfig{
 			HighWater: 64,
 			Interval:  20 * sim.Microsecond,
-			Pipeline:  true,
 			Recycle:   recycle,
 		},
 	})
@@ -76,14 +76,6 @@ func TestRecycleMatchesResident(t *testing.T) {
 // records are gone, so re-decoding them must fail loudly, not return an
 // empty analysis.
 func TestRecycleContract(t *testing.T) {
-	if _, err := NewSession(NewMachine(kernel.Config{Seed: 1}), ProfileConfig{
-		Mode:  CaptureContinuous,
-		Depth: 256,
-		Drain: DrainConfig{Recycle: true},
-	}); err == nil {
-		t.Fatal("Recycle without Pipeline accepted")
-	}
-
 	s := runForRecycle(t, true)
 	if len(s.Segments()) < 2 {
 		t.Fatalf("only %d segments drained", len(s.Segments()))
@@ -103,7 +95,7 @@ func TestRecycleContract(t *testing.T) {
 	}
 	mustPanic("Analyze", func() { s.Analyze() })
 
-	// Invalidate the pipelined result's coverage (fresh capture after the
+	// Invalidate the streamed result's coverage (fresh capture after the
 	// pipe closed): the lean fallback would re-decode, so it must panic
 	// too rather than analyze nil record lists.
 	s.Arm()

@@ -131,7 +131,7 @@ func verifyOpenBus(sock *EPROMSocket, bank int) error {
 // readouts: the five bank images and the record slice the capture decodes
 // into. Ownership is strict — the Capture a readout-into returns aliases
 // the buffer's record storage, so the buffer must not be reused until the
-// capture's consumer is done with those records (core's pipelined drain
+// capture's consumer is done with those records (core's recycling drain
 // returns buffers to its pool only after the background decoder has
 // consumed the batch). The zero value is ready to use.
 type ReadoutBuffer struct {
