@@ -95,7 +95,8 @@ func TestGoldenForkExecReports(t *testing.T) {
 
 // The long-run scenario under continuous capture: a workload generating
 // >=10x the card's RAM depth completes with every record drained into
-// host-side segments and zero silent loss, and the stitched reports
+// host-side segments and zero silent loss, and the stitched reports (segment
+// table, summary, and the raw pprof profile of every drained stack)
 // reproduce byte for byte.
 func TestGoldenNetReceiveLongDrain(t *testing.T) {
 	const depth = 1024
@@ -135,6 +136,7 @@ func TestGoldenNetReceiveLongDrain(t *testing.T) {
 	}
 	golden(t, "netrecv_long_drain_seed42.segments", a.SegmentsString())
 	golden(t, "netrecv_long_drain_seed42.summary", a.SummaryString(15))
+	golden(t, "netrecv_long_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
 }
 
 // The exporters are golden too: MarshalPprof assigns every id in

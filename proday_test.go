@@ -53,8 +53,9 @@ func forceClosed(a *kprof.Analysis) int {
 }
 
 // The proday drain capture is golden: same seed, same params, same
-// shrunken card RAM => byte-identical segment table and summary, with
-// zero silent loss despite the record stream dwarfing the RAM.
+// shrunken card RAM => byte-identical segment table, summary and raw pprof
+// profile (many contexts, switches and adoptions), with zero silent loss
+// despite the record stream dwarfing the RAM.
 func TestGoldenProdayDrain(t *testing.T) {
 	const depth = 2048
 	s := runProday(t, 42, prodayParams, kprof.ProfileConfig{
@@ -76,6 +77,7 @@ func TestGoldenProdayDrain(t *testing.T) {
 	}
 	golden(t, "proday_drain_seed42.segments", a.SegmentsString())
 	golden(t, "proday_drain_seed42.summary", a.SummaryString(15))
+	golden(t, "proday_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
 }
 
 // Continuous capture must not change what proday's profile says: the
