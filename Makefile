@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench gobench bench-check fuzz check fmt vet docs-check cover
+.PHONY: all build test race bench gobench bench-check digests fuzz check fmt vet docs-check cover
 
 all: build test
 
@@ -31,6 +31,13 @@ bench:
 # committed BENCH_*.json (>15 % slower or more allocs per record fails).
 bench-check:
 	./scripts/bench_check.sh
+
+# Output identity across checkouts: the SHA-256 of every output each
+# BENCHMARK.json workload writes, at SEED (default 3). Diff the lines
+# against the parent commit's before claiming byte-identical outputs.
+SEED ?= 3
+digests:
+	./scripts/output_digests.sh $(SEED)
 
 # The conventional go-test microbenchmarks (exporters, decode internals).
 gobench:

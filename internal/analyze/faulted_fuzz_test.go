@@ -125,6 +125,12 @@ func FuzzFaultedDecode(f *testing.F) {
 		if a.Stats.Records != len(recs) {
 			t.Fatalf("decoded %d records of %d", a.Stats.Records, len(recs))
 		}
+		// Each record adds at most one trace item, the bound Stitch and
+		// ReconstructCapture size the trace to once.
+		if len(a.Items) > a.Stats.Records || len(b.Items) > b.Stats.Records {
+			t.Fatalf("trace has %d (Push) / %d (PushBatch) items for %d records",
+				len(a.Items), len(b.Items), a.Stats.Records)
+		}
 		if a.End < a.Start {
 			t.Fatalf("End %v before Start %v", a.End, a.Start)
 		}

@@ -100,9 +100,18 @@ type SegmentInfo struct {
 
 // Analysis is the full reconstruction of a capture.
 type Analysis struct {
+	// Events is the decoded event list: Reconstruct's input, or what a
+	// Reconstructor kept without ReconstructOptions.DiscardEvents.
+	// Session.Analyze and the kprof facade leave it empty.
 	Events []Event
-	Items  []TraceItem
-	Stats  DecodeStats
+	// Items is the chronological code-path trace. Each record decodes to
+	// one event and each event adds at most one item (orphan exits,
+	// unknown tags and force-closed frames add none), so a decoded
+	// capture has len(Items) <= Stats.Records. Stitch and
+	// ReconstructCapture size it to that bound once; Reconstruct sizes it
+	// to len(events).
+	Items []TraceItem
+	Stats DecodeStats
 
 	// Segments describes the drained slices of a stitched capture, in
 	// drain order; empty for a single-readout capture.
@@ -191,8 +200,10 @@ type reconstructor struct {
 	// ~100 functions, so carving them from one slab costs one allocation
 	// per analysis instead of one per function. Append-only at fixed
 	// capacity — a.fns holds the stable per-entry pointers — with an
-	// individual-allocation fallback past the cap. nodeArena does the
-	// same for the first Nodes before freeNodes warms up.
+	// individual-allocation fallback past the cap. nodeArena is the
+	// current Node slab: fresh nodes are carved from it, and a full slab
+	// is replaced by a new one, so the full path (which retains every
+	// node) allocates once per slab rather than once per invocation.
 	statArena []FnStat
 	nodeArena []Node
 
@@ -203,12 +214,12 @@ type reconstructor struct {
 	byIdx []*FnStat
 }
 
-// nodeArenaCap covers the call-nesting working set of the lean path before
-// the recycle pool warms up.
+// nodeArenaCap is the Node slab size. One slab covers the call-nesting
+// working set of the lean path before the recycle pool warms up.
 const nodeArenaCap = 96
 
-// newNode takes a node from the pool (lean path) or allocates one; fresh
-// nodes before the pool warms up are carved from a slab.
+// newNode takes a node from the pool (lean path) or carves a fresh one from
+// the current slab, starting a new slab when it is full.
 func (r *reconstructor) newNode(name string, start sim.Time, fn int32) *Node {
 	if n := len(r.freeNodes); n > 0 {
 		nd := r.freeNodes[n-1]
@@ -216,14 +227,11 @@ func (r *reconstructor) newNode(name string, start sim.Time, fn int32) *Node {
 		*nd = Node{Name: name, Start: start, fn: fn}
 		return nd
 	}
-	if r.nodeArena == nil {
+	if len(r.nodeArena) == cap(r.nodeArena) {
 		r.nodeArena = make([]Node, 0, nodeArenaCap)
 	}
-	if len(r.nodeArena) < cap(r.nodeArena) {
-		r.nodeArena = append(r.nodeArena, Node{Name: name, Start: start, fn: fn})
-		return &r.nodeArena[len(r.nodeArena)-1]
-	}
-	return &Node{Name: name, Start: start, fn: fn}
+	r.nodeArena = append(r.nodeArena, Node{Name: name, Start: start, fn: fn})
+	return &r.nodeArena[len(r.nodeArena)-1]
 }
 
 // freeNode recycles a closed node. Callers must only do so on the lean
@@ -266,7 +274,8 @@ func (r *reconstructor) freeStack(st *stack) {
 
 // Reconstruct runs the full analysis over decoded events.
 func Reconstruct(events []Event, stats DecodeStats) *Analysis {
-	a := &Analysis{Events: events, Stats: stats, fns: make(map[string]*FnStat, fnStatArenaCap)}
+	a := &Analysis{Events: events, Items: make([]TraceItem, 0, len(events)), Stats: stats,
+		fns: make(map[string]*FnStat, fnStatArenaCap)}
 	r := &reconstructor{a: a, idleStack: &stack{}, keepItems: true}
 	if len(events) > 0 {
 		a.Start = events[0].Time

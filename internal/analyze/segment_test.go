@@ -289,5 +289,12 @@ func FuzzSegmentBoundary(f *testing.F) {
 		if lossy.Recovered < forced {
 			t.Fatalf("Recovered=%d < force-closed=%d", lossy.Recovered, forced)
 		}
+		// Each record adds at most one trace item, the bound Stitch sizes
+		// the trace to once.
+		for name, a := range map[string]*Analysis{"whole": whole, "clean": clean, "lossy": lossy} {
+			if len(a.Items) > a.Stats.Records {
+				t.Fatalf("cut %d: %s trace has %d items for %d records", cut, name, len(a.Items), a.Stats.Records)
+			}
+		}
 	})
 }

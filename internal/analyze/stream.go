@@ -223,6 +223,11 @@ func Stitch(segs []hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Ana
 		cfg = segs[0].ClockConfig()
 	}
 	rc := NewReconstructor(cfg, tags, opts)
+	n := 0
+	for _, seg := range segs {
+		n += len(seg.Records)
+	}
+	rc.reserveTrace(n)
 	for _, seg := range segs {
 		rc.PushBatch(seg.Records)
 		rc.EndSegment(seg.Dropped, seg.Overflowed)
@@ -236,6 +241,16 @@ func Stitch(segs []hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Ana
 // stamps, or the zero options for the historical batch behaviour.
 func ReconstructCapture(c hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Analysis {
 	rc := NewReconstructor(c.ClockConfig(), tags, opts)
+	rc.reserveTrace(len(c.Records))
 	rc.PushBatch(c.Records)
 	return rc.Finish(c.Overflowed, c.Dropped)
+}
+
+// reserveTrace sizes a trace-keeping reconstruction's timeline once, for
+// the n records about to be pushed: each record decodes to one event and
+// each event adds at most one trace item, so the trace never regrows.
+func (rc *Reconstructor) reserveTrace(n int) {
+	if rc.rec.keepItems {
+		rc.rec.a.Items = make([]TraceItem, 0, n)
+	}
 }

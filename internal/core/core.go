@@ -696,10 +696,12 @@ func (s *Session) requireResident(op string) {
 // pipeline (timestamp repair on — see analyze.RepairConfig; clean captures
 // decode identically either way). A continuous run's drained segments are
 // stitched back into one timeline, with per-boundary losses reported on
-// Analysis.Segments.
+// Analysis.Segments. The result keeps the trace timeline and invocation
+// trees every report and exporter reads, but not the decoded event list
+// (Analysis.Events stays empty), which none of them reads.
 func (s *Session) Analyze() *analyze.Analysis {
 	s.requireResident("Analyze")
-	opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
+	opts := analyze.ReconstructOptions{DiscardEvents: true, Repair: analyze.DefaultRepair()}
 	if caps := s.stitchList(); caps != nil {
 		return analyze.Stitch(caps, s.Tags, opts)
 	}

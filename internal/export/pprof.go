@@ -74,11 +74,21 @@ type PprofOptions struct {
 	PeriodNS int64
 }
 
-// pprofSample is one unique call stack's accumulated values.
-type pprofSample struct {
-	locs  []uint64 // leaf first, as the schema requires
-	calls int64
-	ns    int64
+// stackPath is one node of the call-path trie: a location called from its
+// parent path. A path that ends at least one complete invocation is a
+// sample; calls and ns accumulate its values.
+type stackPath struct {
+	parent int32 // index of the caller's path; -1 for a root frame
+	loc    uint64
+	calls  int64
+	ns     int64
+}
+
+// pathKey packs a trie edge, a location under a parent path, into one map
+// word: parent+1 in the high half (0 for a root frame), the location id
+// (bounded by the function count) in the low half.
+func pathKey(parent int32, loc uint64) uint64 {
+	return uint64(parent+1)<<32 | loc
 }
 
 // pprofBuilder assigns deterministic ids while walking the invocation
@@ -87,20 +97,21 @@ type pprofSample struct {
 // order, strings in insertion order. Determinism is what makes the golden
 // byte-for-byte tests possible.
 type pprofBuilder struct {
-	strings  map[string]int64
-	strtab   []string
-	funcIDs  map[string]uint64
-	funcs    []string // name per id, in id order (id = index+1)
-	sampleIx map[string]int
-	samples  []*pprofSample
+	strings map[string]int64
+	strtab  []string
+	funcIDs map[string]uint64
+	funcs   []string // name per id, in id order (id = index+1)
+	paths   []stackPath
+	pathIx  map[uint64]int32 // pathKey -> index in paths
+	samples []int32          // sampled paths, in first-encounter order
 }
 
 func newPprofBuilder() *pprofBuilder {
 	b := &pprofBuilder{
-		strings:  map[string]int64{"": 0},
-		strtab:   []string{""},
-		funcIDs:  map[string]uint64{},
-		sampleIx: map[string]int{},
+		strings: map[string]int64{"": 0},
+		strtab:  []string{""},
+		funcIDs: map[string]uint64{},
+		pathIx:  map[uint64]int32{},
 	}
 	return b
 }
@@ -126,45 +137,44 @@ func (b *pprofBuilder) loc(name string) uint64 {
 	return id
 }
 
-// add folds one invocation into the sample keyed by its root-first stack.
-func (b *pprofBuilder) add(rootFirst []uint64, ns int64) {
-	var key protoBuf
-	for _, l := range rootFirst {
-		key.varint(l)
+// path returns the trie node for loc called from parent, adding it on
+// first sight.
+func (b *pprofBuilder) path(parent int32, loc uint64) int32 {
+	k := pathKey(parent, loc)
+	if p, ok := b.pathIx[k]; ok {
+		return p
 	}
-	k := string(key.b)
-	var smp *pprofSample
-	if ix, ok := b.sampleIx[k]; ok {
-		smp = b.samples[ix]
-	} else {
-		leafFirst := make([]uint64, len(rootFirst))
-		for i, l := range rootFirst {
-			leafFirst[len(rootFirst)-1-i] = l
-		}
-		smp = &pprofSample{locs: leafFirst}
-		b.sampleIx[k] = len(b.samples)
-		b.samples = append(b.samples, smp)
-	}
-	smp.calls++
-	smp.ns += ns
+	p := int32(len(b.paths))
+	b.paths = append(b.paths, stackPath{parent: parent, loc: loc})
+	b.pathIx[k] = p
+	return p
 }
 
-// walk adds every complete invocation of the tree rooted at n. Incomplete
-// frames (force-closed or still open) have unknowable self time and
-// contribute no sample of their own, exactly as they are excluded from the
-// summary's timed statistics — but their name still appears in the stacks
-// of their complete descendants.
-func (b *pprofBuilder) walk(stack []uint64, n *analyze.Node) {
-	stack = append(stack, b.loc(n.Name))
+// walk folds every complete invocation of the tree rooted at n, called
+// from trie path parent, into the trie node of its own call path. The trie
+// holds one node per distinct root-first stack, found by a one-word key,
+// so folding an invocation allocates nothing. A path becomes a sample at
+// its first complete invocation, which keeps the samples in
+// first-encounter walk order. Incomplete frames (force-closed or still
+// open) have unknowable self time and contribute no sample of their own,
+// exactly as they are excluded from the summary's timed statistics — but
+// their name still appears in the stacks of their complete descendants.
+func (b *pprofBuilder) walk(parent int32, n *analyze.Node) {
+	p := b.path(parent, b.loc(n.Name))
 	if n.Complete {
 		ns := int64(n.Net())
 		if ns < 0 {
 			ns = 0
 		}
-		b.add(stack, ns)
+		sp := &b.paths[p]
+		if sp.calls == 0 {
+			b.samples = append(b.samples, p)
+		}
+		sp.calls++
+		sp.ns += ns
 	}
 	for _, c := range n.Children {
-		b.walk(stack, c)
+		b.walk(p, c)
 	}
 }
 
@@ -173,7 +183,9 @@ func (b *pprofBuilder) walk(stack []uint64, n *analyze.Node) {
 // is one unique reconstructed call stack, its time the accumulated net
 // (self) time of the invocations with that stack. `go tool pprof -top`
 // therefore shows flat = the summary report's net column and cum = its
-// elapsed column. The output is deterministic byte for byte.
+// elapsed column, except that invocations under a root frame that never
+// exited (open at capture end, force-closed, or in a suspended context) are
+// not in the profile. The output is deterministic byte for byte.
 func MarshalPprof(a *analyze.Analysis, opts PprofOptions) []byte {
 	period := opts.PeriodNS
 	if period == 0 {
@@ -184,9 +196,12 @@ func MarshalPprof(a *analyze.Analysis, opts PprofOptions) []byte {
 	// regardless of function names.
 	callsIx, countIx := b.str("calls"), b.str("count")
 	timeIx, nanosIx := b.str("time"), b.str("nanoseconds")
+	// Only roots that exited at depth 0 are walked: complete invocations
+	// under a root still open at capture end, force-closed, or parked in a
+	// suspended stack are counted by the summary but missing here.
 	for _, it := range a.Items {
 		if it.Kind == analyze.TraceExit && it.Node != nil && it.Depth == 0 {
-			b.walk(nil, it.Node)
+			b.walk(-1, it.Node)
 		}
 	}
 	// A capture the hardened decoder had to repair carries its corruption
@@ -208,9 +223,15 @@ func MarshalPprof(a *analyze.Analysis, opts PprofOptions) []byte {
 	}
 	p.bytesField(profSampleType, vt(callsIx, countIx))
 	p.bytesField(profSampleType, vt(timeIx, nanosIx))
-	for _, smp := range b.samples {
+	var locs []uint64 // one stack buffer, refilled leaf first per sample
+	for _, ix := range b.samples {
+		locs = locs[:0]
+		for q := ix; q >= 0; q = b.paths[q].parent {
+			locs = append(locs, b.paths[q].loc)
+		}
+		smp := &b.paths[ix]
 		var s protoBuf
-		s.packedUint64(sampleLocationID, smp.locs)
+		s.packedUint64(sampleLocationID, locs)
 		s.packedInt64(sampleValue, []int64{smp.calls, smp.ns})
 		p.bytesField(profSample, s.b)
 	}
