@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench gobench bench-check digests fuzz check fmt vet docs-check cover
+.PHONY: all build test race bench gobench bench-check digests digests-diff fuzz check fmt vet docs-check cover
 
 all: build test
 
@@ -38,6 +38,12 @@ bench-check:
 SEED ?= 3
 digests:
 	./scripts/output_digests.sh $(SEED)
+
+# The same digests at REV (say, the parent commit) and in this checkout,
+# side by side: make digests-diff REV=HEAD~1 [SEED=N]. Exits non-zero if
+# any workload's digests differ or any repeat failed.
+digests-diff:
+	./scripts/output_digests.sh --against $(REV) $(SEED)
 
 # The conventional go-test microbenchmarks (exporters, decode internals).
 gobench:

@@ -672,9 +672,8 @@ func analyzeSaved(capPath, tagsPath, report string, top, maxlines int, fn string
 		return nil, err
 	}
 	// Saved captures come from arbitrary hardware in arbitrary health;
-	// analyze through the hardened pipeline. No report reads the event
-	// list, so it is not kept.
-	a := analyze.ReconstructCapture(c, tags, analyze.ReconstructOptions{DiscardEvents: true, Repair: analyze.DefaultRepair()})
+	// analyze through the hardened pipeline.
+	a := analyze.ReconstructCapture(c, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
 	printReport(a, nil, report, top, maxlines, fn)
 	return a, nil
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// The lean streaming path (a sweep worker: events and trace discarded)
+// The lean streaming path (a sweep worker: trace discarded)
 // must reach a steady state where pushing records allocates nothing —
 // nodes come from the pool, stacks recycle, and the function table stops
 // growing. This is the claim the decode/steady benchmark gates; here it
@@ -13,9 +13,8 @@ func TestSteadyStatePushZeroAlloc(t *testing.T) {
 	tags := mustTags(t)
 	c := pseudoCapture(3, 4096)
 	rc := NewReconstructor(c.ClockConfig(), tags, ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        DefaultRepair(),
+		DiscardTrace: true,
+		Repair:       DefaultRepair(),
 	})
 	pass := func() {
 		for _, r := range c.Records {

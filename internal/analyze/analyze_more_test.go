@@ -81,8 +81,7 @@ func TestAnalyzerRobustnessProperty(t *testing.T) {
 				Stamp: raw[i+1] & hw.TimerMask,
 			})
 		}
-		events, stats := Decode(c, tags)
-		a := Reconstruct(events, stats)
+		a := ReconstructCapture(c, tags, ReconstructOptions{})
 		if a.Idle < 0 || a.Elapsed() < 0 {
 			return false
 		}
@@ -144,9 +143,8 @@ func TestHighPrecisionSeparatesShortCalls(t *testing.T) {
 	latchBoth(503) // b exit, 400 ns later
 	tags := mustTags(t)
 
-	ep, _ := Decode(proto.Dump(), tags)
-	ef, _ := Decode(fast.Dump(), tags)
-	ap, af := Reconstruct(ep, DecodeStats{}), Reconstruct(ef, DecodeStats{})
+	ap := ReconstructCapture(proto.Dump(), tags, ReconstructOptions{})
+	af := ReconstructCapture(fast.Dump(), tags, ReconstructOptions{})
 	bp, _ := ap.Fn("b")
 	bf, _ := af.Fn("b")
 	if bp.Net != 0 {

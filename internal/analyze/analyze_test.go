@@ -38,8 +38,7 @@ func capOf(pairs ...[2]uint32) hw.Capture {
 
 func analyzeCap(t *testing.T, c hw.Capture) *Analysis {
 	t.Helper()
-	events, stats := Decode(c, mustTags(t))
-	return Reconstruct(events, stats)
+	return ReconstructCapture(c, mustTags(t), ReconstructOptions{})
 }
 
 func TestDecodeUnwrapsTimer(t *testing.T) {

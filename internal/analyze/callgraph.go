@@ -31,7 +31,12 @@ type CallGraph struct {
 	byCaller map[string][]*Arc
 }
 
-// CallGraph builds the measured call graph of the capture.
+// CallGraph builds the measured call graph of the capture. It walks the
+// invocation trees only from roots that exited at depth 0, so complete
+// invocations under a root that never exits (still open at capture end,
+// force-closed, or parked in a suspended stack) are missing from its arcs;
+// counting them needs each node's caller, which the trace items do not
+// carry.
 func (a *Analysis) CallGraph() *CallGraph {
 	g := &CallGraph{
 		arcs:     make(map[[2]string]*Arc),

@@ -120,7 +120,7 @@ type Decoder struct {
 // left alone it would teleport the timeline forward (and, via the unwrap
 // guard, silently alias everything after it). Repair holds any record whose
 // interval from the trusted timebase is implausibly large — at least
-// SuspectTicks — until the next record arbitrates:
+// DefaultSuspectTicks — until the next record arbitrates:
 //
 //   - successor agrees with the old timebase: the suspect stamp was a
 //     glitch; the record keeps its place with an interpolated midpoint
@@ -135,16 +135,16 @@ type Decoder struct {
 //     suspect without advancing, so the overshoot is not compounded into
 //     a full extra timer wrap.
 //   - successor agrees with neither: the suspect is zero-advanced as
-//     corrupt; after ResyncAfter consecutive unresolvable stamps the
-//     decoder rebases its timeline on the newest one (counted in Resyncs).
+//     corrupt; after three consecutive unresolvable stamps the decoder
+//     rebases its timeline on the newest one (counted in Resyncs).
 //
 // The heuristic is conservative by construction: captures whose inter-event
-// gaps stay below SuspectTicks decode byte-identically with repair on or
+// gaps stay below the threshold decode byte-identically with repair on or
 // off, and larger genuine gaps still decode identically as long as two
 // consecutive records agree (the chain-accept case) — which is why the
 // default threshold can sit at ≈4 ms, far below half the wrap yet far
 // above any real inter-strobe gap, catching single-bit stamp flips down
-// to bit 12. A genuine gap landing within SuspectTicks of a full wrap is
+// to bit 12. A genuine gap landing within the threshold of a full wrap is
 // indistinguishable from a small backward glitch on this counter — the
 // information is already gone — so repair prefers the glitch reading and
 // trades that corner for surviving corruption.
@@ -152,24 +152,21 @@ type RepairConfig struct {
 	// Enabled turns repair on. Off (the zero value) reproduces the
 	// historical decoder exactly, record for record.
 	Enabled bool
-	// SuspectTicks is the smallest interval treated as implausible, in
-	// counter ticks; 0 means DefaultSuspectTicks (capped at half the
-	// wrap for narrow timers).
-	SuspectTicks uint32
-	// ResyncAfter is how many consecutive unresolvable stamps force a
-	// rebase; 0 means 3.
-	ResyncAfter int
 }
 
-// DefaultSuspectTicks is the default implausibility threshold: 4096 ticks
-// (≈4 ms at the prototype card's 1 MHz). Clean kernels strobe every few
-// microseconds and even idle gaps stay well under a millisecond, while a
-// corrupted stamp is usually wrong by a high timer bit — so the threshold
-// sits orders of magnitude above real gaps and below real damage.
+// DefaultSuspectTicks is the implausibility threshold: the smallest
+// interval repair holds for arbitration, 4096 ticks (≈4 ms at the
+// prototype card's 1 MHz), capped at half the wrap for narrow timers.
+// Clean kernels strobe every few microseconds and even idle gaps stay well
+// under a millisecond, while a corrupted stamp is usually wrong by a high
+// timer bit — so the threshold sits orders of magnitude above real gaps
+// and below real damage.
 const DefaultSuspectTicks = 4096
 
-// DefaultRepair is the hardened pipeline's repair configuration: enabled,
-// with the documented defaults.
+// resyncAfter is how many consecutive unresolvable stamps force a rebase.
+const resyncAfter = 3
+
+// DefaultRepair is the hardened pipeline's repair configuration: enabled.
 func DefaultRepair() RepairConfig { return RepairConfig{Enabled: true} }
 
 // NewDecoder returns a decoder for records captured under the given clock
@@ -183,16 +180,10 @@ func NewDecoder(cfg hw.Config, tags *tagfile.File) *Decoder {
 // configuration.
 func NewRepairingDecoder(cfg hw.Config, tags *tagfile.File, repair RepairConfig) *Decoder {
 	cfg = cfg.WithDefaults()
-	d := &Decoder{tags: tags, mask: cfg.Mask(), tick: cfg.TickPeriod(), first: true, repair: repair}
-	d.suspect = repair.SuspectTicks
-	if d.suspect == 0 {
-		d.suspect = DefaultSuspectTicks
-		if half := d.mask/2 + 1; d.suspect > half {
-			d.suspect = half // a very narrow test timer
-		}
-	}
-	if d.repair.ResyncAfter == 0 {
-		d.repair.ResyncAfter = 3
+	d := &Decoder{tags: tags, mask: cfg.Mask(), tick: cfg.TickPeriod(), first: true, repair: repair,
+		suspect: DefaultSuspectTicks}
+	if half := d.mask/2 + 1; d.suspect > half {
+		d.suspect = half // a very narrow test timer
 	}
 	return d
 }
@@ -306,12 +297,12 @@ func (d *Decoder) Push(r hw.Record, emit func(Event)) {
 	default:
 		// r is far from both the timebase and the suspect: the suspect
 		// is unresolvable. Zero-advance it as corrupt; r becomes the new
-		// suspect, unless this has happened ResyncAfter times in a row —
+		// suspect, unless this has happened resyncAfter times in a row —
 		// then the timebase has truly moved, and we rebase on r.
 		d.repaired++
 		emit(d.event(d.pending, d.now, true))
 		d.suspectRun++
-		if d.suspectRun >= d.repair.ResyncAfter {
+		if d.suspectRun >= resyncAfter {
 			d.resyncs++
 			d.last = r.Stamp
 			emit(d.event(r, d.now, false))

@@ -24,22 +24,16 @@ type Bucket struct {
 }
 
 // HistogramOf builds a log-2-bucketed histogram of every completed
-// invocation of name.
+// invocation of name. Each complete invocation has exactly one exit item
+// in the trace, wherever its root ended up (exited, force-closed, still
+// open or suspended at capture end), so the histogram counts the same
+// invocations as the function's FnStat.TimedCalls.
 func (a *Analysis) HistogramOf(name string) *Histogram {
 	h := &Histogram{Name: name}
 	var durations []sim.Time
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Name == name && n.Complete {
-			durations = append(durations, n.Elapsed())
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
 	for _, it := range a.Items {
-		if it.Kind == TraceExit && it.Node != nil && it.Depth == 0 {
-			walk(it.Node)
+		if it.Kind == TraceExit && it.Node != nil && it.Node.Complete && it.Node.Name == name {
+			durations = append(durations, it.Node.Elapsed())
 		}
 	}
 	if len(durations) == 0 {

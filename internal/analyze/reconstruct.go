@@ -98,18 +98,14 @@ type SegmentInfo struct {
 	End sim.Time
 }
 
-// Analysis is the full reconstruction of a capture.
+// Analysis is the full reconstruction of a capture. It holds no decoded
+// event list: the reconstruction consumes each event as it is decoded.
 type Analysis struct {
-	// Events is the decoded event list: Reconstruct's input, or what a
-	// Reconstructor kept without ReconstructOptions.DiscardEvents.
-	// Session.Analyze and the kprof facade leave it empty.
-	Events []Event
 	// Items is the chronological code-path trace. Each record decodes to
 	// one event and each event adds at most one item (orphan exits,
 	// unknown tags and force-closed frames add none), so a decoded
 	// capture has len(Items) <= Stats.Records. Stitch and
-	// ReconstructCapture size it to that bound once; Reconstruct sizes it
-	// to len(events).
+	// ReconstructCapture size it to that bound once.
 	Items []TraceItem
 	Stats DecodeStats
 
@@ -272,34 +268,13 @@ func (r *reconstructor) freeStack(st *stack) {
 	r.freeStacks = append(r.freeStacks, st)
 }
 
-// Reconstruct runs the full analysis over decoded events.
-func Reconstruct(events []Event, stats DecodeStats) *Analysis {
-	a := &Analysis{Events: events, Items: make([]TraceItem, 0, len(events)), Stats: stats,
-		fns: make(map[string]*FnStat, fnStatArenaCap)}
-	r := &reconstructor{a: a, idleStack: &stack{}, keepItems: true}
-	if len(events) > 0 {
-		a.Start = events[0].Time
-		a.End = events[len(events)-1].Time
-		r.lastSwitchIn = a.Start
-		r.haveStart = true
-	}
-	for _, ev := range events {
-		r.step(ev)
-	}
-	r.finish()
-	return a
-}
-
-// feed processes one event incrementally, maintaining the bookkeeping that
-// the batch path precomputes from the whole slice.
-func (r *reconstructor) feed(ev Event, keepEvent bool) {
+// feed processes one decoded event: the first one starts the timeline,
+// and each one extends it.
+func (r *reconstructor) feed(ev Event) {
 	if !r.haveStart {
 		r.a.Start, r.lastSwitchIn, r.haveStart = ev.Time, ev.Time, true
 	}
 	r.a.End = ev.Time
-	if keepEvent {
-		r.a.Events = append(r.a.Events, ev)
-	}
 	r.step(ev)
 }
 

@@ -141,8 +141,8 @@ func (a *Analysis) SegmentsString() string {
 
 // TraceOptions controls the code-path trace rendering.
 type TraceOptions struct {
-	// From/To bound the rendered window; zero To means the whole capture.
-	From, To sim.Time
+	// From starts the rendered window; it runs to the end of the capture.
+	From sim.Time
 	// MaxLines bounds output; 0 means unlimited.
 	MaxLines int
 }
@@ -154,13 +154,9 @@ type TraceOptions struct {
 // context-switch flags.
 func (a *Analysis) WriteTrace(w io.Writer, opts TraceOptions) error {
 	ew := &errWriter{w: w}
-	to := opts.To
-	if to == 0 {
-		to = a.End + 1
-	}
 	lines := 0
 	for _, it := range a.Items {
-		if it.Time < opts.From || it.Time > to {
+		if it.Time < opts.From {
 			continue
 		}
 		if opts.MaxLines > 0 && lines >= opts.MaxLines {

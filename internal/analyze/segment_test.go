@@ -94,8 +94,7 @@ func TestCtxSwitchFlagFollowsTagFile(t *testing.T) {
 		[2]uint32{500, 0}, [2]uint32{510, 10},
 		[2]uint32{511, 30}, [2]uint32{501, 50},
 	)
-	events, stats := Decode(c, tags)
-	a := Reconstruct(events, stats)
+	a := ReconstructCapture(c, tags, ReconstructOptions{})
 	sw, ok := a.Fn("resched")
 	if !ok || !sw.CtxSwitch {
 		t.Fatalf("resched stat = %+v, ok=%v; want CtxSwitch", sw, ok)

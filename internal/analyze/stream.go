@@ -8,11 +8,11 @@ import (
 
 // ReconstructOptions trims what a streaming reconstruction retains and
 // selects the decode hardening. The per-function statistics, idle
-// accounting and capture-quality counters are always kept; the bulky
-// per-event artifacts are optional.
+// accounting and capture-quality counters are always kept; the trace
+// timeline, the one per-event artifact, is optional.
 type ReconstructOptions struct {
-	// DiscardEvents drops the decoded event list (Analysis.Events stays
-	// empty).
+	// DiscardEvents has no effect: no reconstruction keeps a decoded event
+	// list. It remains only because existing callers still set it.
 	DiscardEvents bool
 	// DiscardTrace drops the trace timeline (Analysis.Items stays empty;
 	// WriteTrace renders nothing).
@@ -29,10 +29,9 @@ type ReconstructOptions struct {
 // materializing the event list. A sweep worker pushes the 16384 records,
 // drops the card, and keeps only the finished per-function statistics.
 type Reconstructor struct {
-	dec        *Decoder
-	rec        *reconstructor
-	keepEvents bool
-	finished   bool
+	dec      *Decoder
+	rec      *reconstructor
+	finished bool
 	// emitFn is the emit callback bound once at construction, so the
 	// per-record Push never materializes a method value.
 	emitFn func(Event)
@@ -49,9 +48,8 @@ type Reconstructor struct {
 func NewReconstructor(cfg hw.Config, tags *tagfile.File, opts ReconstructOptions) *Reconstructor {
 	a := &Analysis{fns: make(map[string]*FnStat, fnStatArenaCap)}
 	rc := &Reconstructor{
-		dec:        NewRepairingDecoder(cfg, tags, opts.Repair),
-		rec:        &reconstructor{a: a, idleStack: &stack{}, keepItems: !opts.DiscardTrace},
-		keepEvents: !opts.DiscardEvents,
+		dec: NewRepairingDecoder(cfg, tags, opts.Repair),
+		rec: &reconstructor{a: a, idleStack: &stack{}, keepItems: !opts.DiscardTrace},
 	}
 	rc.emitFn = rc.emit
 	return rc
@@ -68,7 +66,7 @@ func (rc *Reconstructor) Push(r hw.Record) {
 	rc.dec.Push(r, rc.emitFn)
 }
 
-func (rc *Reconstructor) emit(ev Event) { rc.rec.feed(ev, rc.keepEvents) }
+func (rc *Reconstructor) emit(ev Event) { rc.rec.feed(ev) }
 
 // PushBatch decodes a whole drained bank at once. The drain loop hands a
 // bank's records in a single call, so the timestamp unwrap runs as one
@@ -85,13 +83,13 @@ func (rc *Reconstructor) PushBatch(rs []hw.Record) {
 	if rc.finished {
 		panic("analyze: PushBatch after Finish")
 	}
-	d, rec, keep := rc.dec, rc.rec, rc.keepEvents
+	d, rec := rc.dec, rc.rec
 	i := 0
 	if d.first && len(rs) > 0 {
 		d.records++
 		d.first = false
 		d.last = rs[0].Stamp
-		rec.feed(d.event(rs[0], d.now, false), keep)
+		rec.feed(d.event(rs[0], d.now, false))
 		i = 1
 	}
 	for i < len(rs) {
@@ -105,7 +103,7 @@ func (rc *Reconstructor) PushBatch(rs []hw.Record) {
 				d.records++
 				d.now += sim.Time(delta) * d.tick
 				d.last = r.Stamp
-				rec.feed(d.event(r, d.now, false), keep)
+				rec.feed(d.event(r, d.now, false))
 			}
 			if i >= len(rs) {
 				return
@@ -236,9 +234,9 @@ func Stitch(segs []hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Ana
 }
 
 // ReconstructCapture runs the streaming reconstruction over one single-
-// readout capture. It is the hardened equivalent of Decode followed by
-// Reconstruct: pass opts.Repair = DefaultRepair() to survive corrupted
-// stamps, or the zero options for the historical batch behaviour.
+// readout capture. Pass opts.Repair = DefaultRepair() to survive corrupted
+// stamps, or the zero options to unwrap every stamp exactly as Decode
+// does.
 func ReconstructCapture(c hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Analysis {
 	rc := NewReconstructor(c.ClockConfig(), tags, opts)
 	rc.reserveTrace(len(c.Records))

@@ -203,9 +203,8 @@ func Run(cfg Config) (*Report, error) {
 		steadyIters = 10
 	}
 	rc := analyze.NewReconstructor(c.ClockConfig(), s.Tags, analyze.ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        analyze.DefaultRepair(),
+		DiscardTrace: true,
+		Repair:       analyze.DefaultRepair(),
 	})
 	pass := func() {
 		for _, r := range c.Records {
@@ -226,9 +225,8 @@ func Run(cfg Config) (*Report, error) {
 	rep.Benchmarks = append(rep.Benchmarks,
 		measure("decode/full", c.Len(), 2, fullIters, func() {
 			rc := analyze.NewReconstructor(c.ClockConfig(), s.Tags, analyze.ReconstructOptions{
-				DiscardEvents: true,
-				DiscardTrace:  true,
-				Repair:        analyze.DefaultRepair(),
+				DiscardTrace: true,
+				Repair:       analyze.DefaultRepair(),
 			})
 			for _, r := range c.Records {
 				rc.Push(r)

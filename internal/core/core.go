@@ -104,6 +104,14 @@ const (
 // card's fill level when DrainConfig.Interval is zero.
 const DefaultDrainInterval = sim.Millisecond
 
+// The card's socket and the kernel image the two-stage link lays out: the
+// paper borrowed the WD8003E Ethernet card's EPROM socket at 0xD0000, and
+// a representative 640 KB kernel fixes where ISA space lands in kernel VA.
+const (
+	epromPhys  = 0xD0000
+	kernelSize = 640 * 1024
+)
+
 // recycleDepth is the bounded-channel capacity between the drain loop and
 // the background reconstructor of a recycling session: up to this many
 // drained-but-undecoded segments may be in flight before a drain blocks on
@@ -140,7 +148,10 @@ type DrainConfig struct {
 	Recycle bool
 }
 
-// ProfileConfig selects what to instrument and where the card sits.
+// ProfileConfig selects what to instrument and how the card captures.
+// Every session starts a fresh name/tag file at tag 500, allocates the
+// MGET inline trigger the paper's sample tag file shows, and plugs the
+// card into the WD8003E's EPROM socket in front of a 640 KB kernel.
 type ProfileConfig struct {
 	// Mode selects one-shot (the default, the paper's pull-the-RAMs
 	// workflow) or continuous (drain-and-stitch) capture.
@@ -157,18 +168,6 @@ type ProfileConfig struct {
 	ClockHz int64
 	// TimerBits selects the stored counter width; 0 means 24.
 	TimerBits uint
-	// EPROMPhys is the physical address of the borrowed EPROM socket;
-	// 0 means the WD8003E's socket at 0xD0000.
-	EPROMPhys uint32
-	// KernelSize feeds the two-stage link; 0 means a representative
-	// 640 KB kernel.
-	KernelSize uint32
-	// Tags supplies an existing name/tag file to extend; nil starts
-	// fresh at tag 500.
-	Tags *tagfile.File
-	// NoMGETInline disables the MGET inline trigger the paper's sample
-	// tag file shows.
-	NoMGETInline bool
 	// Faults, when non-nil, attaches a deterministic fault injector to the
 	// card's capture and readout paths (see internal/faults). A non-nil
 	// config with Rate 0 attaches a pure pass-through — byte-identical
@@ -215,10 +214,6 @@ type Session struct {
 	drainPollFn func()
 	drainErr    error
 	drainErrs   int
-	// stitchBuf is the capture list stitchList assembles, reused across
-	// Analyze calls so a mid-run analysis loop does not allocate a fresh
-	// header slice per call.
-	stitchBuf []hw.Capture
 
 	// Background-decode state (DrainConfig.Recycle): the in-flight pipe
 	// while armed, then the finished analysis and the number of segments
@@ -328,22 +323,9 @@ func (s *Session) notifyProgress() {
 // NewSession instruments the machine's kernel per cfg, performs the
 // two-stage link, and plugs the card into the EPROM socket.
 func NewSession(m *Machine, cfg ProfileConfig) (*Session, error) {
-	epromPhys := cfg.EPROMPhys
-	if epromPhys == 0 {
-		epromPhys = 0xD0000
-	}
-	kernelSize := cfg.KernelSize
-	if kernelSize == 0 {
-		kernelSize = 640 * 1024
-	}
-	var inlines []string
-	if !cfg.NoMGETInline {
-		inlines = []string{"MGET"}
-	}
 	inst, err := instrument.Instrument(m.K, instrument.Options{
 		Modules: cfg.Modules,
-		Tags:    cfg.Tags,
-		Inlines: inlines,
+		Inlines: []string{"MGET"},
 	})
 	if err != nil {
 		return nil, err
@@ -515,9 +497,8 @@ func (s *Session) startPipe() {
 		free: make(chan *hw.ReadoutBuffer, recycleDepth+1),
 	}
 	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        analyze.DefaultRepair(),
+		DiscardTrace: true,
+		Repair:       analyze.DefaultRepair(),
 	})
 	go func() {
 		defer close(p.done)
@@ -660,23 +641,18 @@ func (s *Session) Capture() hw.Capture { return s.Card.Dump() }
 // stitchList assembles the full capture sequence of a continuous run: the
 // drained segments plus whatever is still on the card (a Disarm leaves the
 // card empty, but callers may analyze mid-run). Nil when nothing was ever
-// drained — the one-shot case. The returned slice is the session's cached
-// stitch buffer, overwritten by the next call.
+// drained — the one-shot case.
 func (s *Session) stitchList() []hw.Capture {
 	if len(s.segments) == 0 {
 		return nil
 	}
-	caps := s.stitchBuf[:0]
-	if cap(caps) < len(s.segments)+1 {
-		caps = make([]hw.Capture, 0, len(s.segments)+1)
-	}
+	caps := make([]hw.Capture, 0, len(s.segments)+1)
 	for _, seg := range s.segments {
 		caps = append(caps, seg.Capture)
 	}
 	if s.Card.Stored() > 0 || s.Card.Dropped > 0 {
 		caps = append(caps, s.Card.Dump())
 	}
-	s.stitchBuf = caps
 	return caps
 }
 
@@ -697,11 +673,10 @@ func (s *Session) requireResident(op string) {
 // decode identically either way). A continuous run's drained segments are
 // stitched back into one timeline, with per-boundary losses reported on
 // Analysis.Segments. The result keeps the trace timeline and invocation
-// trees every report and exporter reads, but not the decoded event list
-// (Analysis.Events stays empty), which none of them reads.
+// trees every report and exporter reads.
 func (s *Session) Analyze() *analyze.Analysis {
 	s.requireResident("Analyze")
-	opts := analyze.ReconstructOptions{DiscardEvents: true, Repair: analyze.DefaultRepair()}
+	opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
 	if caps := s.stitchList(); caps != nil {
 		return analyze.Stitch(caps, s.Tags, opts)
 	}
@@ -709,10 +684,10 @@ func (s *Session) Analyze() *analyze.Analysis {
 }
 
 // AnalyzeLean decodes the card's RAM in place — streaming each record into
-// the reconstructor — and discards the event list and trace timeline. The
-// resulting Analysis carries the per-function statistics and idle
-// accounting only, so a sweep worker never holds a copy of the 16384-entry
-// bank list alongside its report. Drained segments stream the same way:
+// the reconstructor — and discards the trace timeline. The resulting
+// Analysis carries the per-function statistics and idle accounting only,
+// so a sweep worker never holds a copy of the 16384-entry bank list
+// alongside its report. Drained segments stream the same way:
 // the worker holds the segment store it already paid for, nothing more.
 func (s *Session) AnalyzeLean() *analyze.Analysis {
 	// A finished recycling capture already decoded every segment in the
@@ -724,9 +699,8 @@ func (s *Session) AnalyzeLean() *analyze.Analysis {
 	}
 	s.requireResident("AnalyzeLean")
 	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        analyze.DefaultRepair(),
+		DiscardTrace: true,
+		Repair:       analyze.DefaultRepair(),
 	})
 	if len(s.segments) > 0 {
 		for _, seg := range s.segments {

@@ -413,8 +413,7 @@ func TestReadoutViaSocketMatchesDirectDump(t *testing.T) {
 		t.Fatalf("readout %d records, direct %d", viaSocket.Len(), direct.Len())
 	}
 	a1 := s.Analyze()
-	events, stats := analyze.Decode(viaSocket, s.Tags)
-	a2 := analyze.Reconstruct(events, stats)
+	a2 := analyze.ReconstructCapture(viaSocket, s.Tags, analyze.ReconstructOptions{})
 	if a1.SummaryString(0) != a2.SummaryString(0) {
 		t.Fatal("readout analysis differs from direct dump")
 	}

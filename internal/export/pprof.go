@@ -17,9 +17,10 @@
 //     minimal HTML view, fed by the progress hooks on core.Session and
 //     sweep.Config.
 //
-// The exporters need a full reconstruction (Session.Analyze or
-// analyze.Reconstruct): the lean streaming path discards the invocation
-// trees the stacks and duration events are built from.
+// The exporters need a full reconstruction (Session.Analyze, or
+// analyze.ReconstructCapture or analyze.Stitch without DiscardTrace): the
+// lean streaming path discards the invocation trees the stacks and
+// duration events are built from.
 package export
 
 import (

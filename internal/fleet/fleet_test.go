@@ -217,7 +217,7 @@ func TestFleetSamplesSumToReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := analyze.NewReconstructor(rs.Clock, rs.TagFile, analyze.ReconstructOptions{
-		DiscardEvents: true, DiscardTrace: true, Repair: analyze.DefaultRepair(),
+		DiscardTrace: true, Repair: analyze.DefaultRepair(),
 	})
 	for _, seg := range rs.Segments {
 		rc.PushBatch(seg.Records)

@@ -182,9 +182,8 @@ func ingestOne(st *Store, src Source) error {
 		return err
 	}
 	rc := analyze.NewReconstructor(cfg, tags, analyze.ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        analyze.DefaultRepair(),
+		DiscardTrace: true,
+		Repair:       analyze.DefaultRepair(),
 	})
 	t := newDeltaTracker()
 	var held *Sample

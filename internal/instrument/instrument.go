@@ -19,7 +19,8 @@ import (
 	"kprof/internal/tagfile"
 )
 
-// Options selects what to instrument.
+// Options selects what to instrument. The context switcher is always
+// swtch: the tag file marks it '!' whenever it is instrumented.
 type Options struct {
 	// Modules restricts instrumentation to these object modules; empty
 	// means every module (whole-kernel profiling).
@@ -31,9 +32,6 @@ type Options struct {
 	Functions []string
 	// Tags is the existing name/tag file to extend; nil starts fresh.
 	Tags *tagfile.File
-	// ContextSwitchFns name the functions to mark '!' in the tag file;
-	// nil defaults to ["swtch"].
-	ContextSwitchFns []string
 	// Inlines are additional inline ('=') trigger names to allocate,
 	// e.g. "MGET".
 	Inlines []string
@@ -105,15 +103,9 @@ func Instrument(k *kernel.Kernel, opts Options) (*Result, error) {
 		}
 		res.TriggerPoints += 2
 	}
-	ctxFns := opts.ContextSwitchFns
-	if ctxFns == nil {
-		ctxFns = []string{"swtch"}
-	}
-	for _, name := range ctxFns {
-		if _, ok := tags.Lookup(name); ok {
-			if err := tags.MarkContextSwitch(name); err != nil {
-				return nil, err
-			}
+	if _, ok := tags.Lookup("swtch"); ok {
+		if err := tags.MarkContextSwitch("swtch"); err != nil {
+			return nil, err
 		}
 	}
 	for _, name := range opts.Inlines {

@@ -57,7 +57,7 @@ func (k *Kernel) PendingCallouts() int {
 // software-interrupt emulation on the way out all add up.
 func (k *Kernel) StartClock() {
 	irq := k.RegisterIRQ("clk", MaskClock, MaskAll, 0, k.hardclock)
-	period := sim.Second / sim.Time(k.hz)
+	period := sim.Second / sim.Time(hz)
 	// The tick closure is allocated once and rearmed on pooled events, so
 	// a long run's clock costs no allocation per tick.
 	var tick func()

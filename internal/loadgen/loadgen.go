@@ -65,20 +65,18 @@ func ParseKind(s string) (Kind, error) {
 
 // Config parameterizes a generator.
 type Config struct {
-	// Kind selects the arrival process (zero value: Poisson).
+	// Kind selects the arrival process (zero value: Poisson). Burst
+	// dwells DefaultOnMean ON and DefaultOffMean OFF on average.
 	Kind Kind
 	// Rate is the long-run mean arrival rate in events per simulated
 	// second. Must be positive.
 	Rate float64
 	// Seed seeds the generator's private random stream.
 	Seed uint64
-	// OnMean and OffMean set the mean ON and OFF dwell times for Burst
-	// (zero values: 50ms ON, 150ms OFF, i.e. a 4x peak-to-mean ratio).
-	// Ignored by the other kinds.
-	OnMean, OffMean sim.Time
 }
 
-// Default Burst dwell means: 50ms bursts separated by 150ms lulls.
+// Burst dwell means: 50ms bursts separated by 150ms lulls, a 4x
+// peak-to-mean ratio.
 const (
 	DefaultOnMean  = 50 * sim.Millisecond
 	DefaultOffMean = 150 * sim.Millisecond
@@ -109,21 +107,13 @@ func New(cfg Config) (*Gen, error) {
 	}
 	g := &Gen{cfg: cfg, rng: sim.NewRand(cfg.Seed)}
 	if cfg.Kind == Burst {
-		on, off := cfg.OnMean, cfg.OffMean
-		if on <= 0 {
-			on = DefaultOnMean
-		}
-		if off <= 0 {
-			off = DefaultOffMean
-		}
-		g.cfg.OnMean, g.cfg.OffMean = on, off
 		// Scale the ON-state rate so the long-run mean over ON+OFF
 		// cycles is still cfg.Rate.
-		peak := cfg.Rate * float64(on+off) / float64(on)
+		peak := cfg.Rate * float64(DefaultOnMean+DefaultOffMean) / float64(DefaultOnMean)
 		g.peakMean = meanGap(peak)
 		// Start ON so low-rate short runs still see arrivals.
 		g.on = true
-		g.dwellEnd = g.exp(on)
+		g.dwellEnd = g.exp(DefaultOnMean)
 	}
 	g.next = g.gap(0)
 	return g, nil
@@ -169,7 +159,7 @@ func (g *Gen) gap(t sim.Time) sim.Time {
 			if !g.on {
 				t = g.dwellEnd
 				g.on = true
-				g.dwellEnd = t + g.exp(g.cfg.OnMean)
+				g.dwellEnd = t + g.exp(DefaultOnMean)
 				continue
 			}
 			t += g.exp(g.peakMean)
@@ -178,7 +168,7 @@ func (g *Gen) gap(t sim.Time) sim.Time {
 			}
 			t = g.dwellEnd
 			g.on = false
-			g.dwellEnd = t + g.exp(g.cfg.OffMean)
+			g.dwellEnd = t + g.exp(DefaultOffMean)
 		}
 	default: // Poisson
 		return t + g.exp(meanGap(g.cfg.Rate))

@@ -33,7 +33,8 @@ import (
 	"kprof/internal/workload"
 )
 
-// Config describes one sweep.
+// Config describes one sweep. Every worker analyzes its seed through the
+// lean streaming path and keeps only the compact per-seed sample.
 type Config struct {
 	// Scenario names a registered workload (workload.ScenarioNames).
 	Scenario string
@@ -47,11 +48,6 @@ type Config struct {
 	Params workload.Params
 	// Profile configures each worker's instrumentation and card.
 	Profile core.ProfileConfig
-	// Observe, when non-nil, receives every seed's full Analysis (events
-	// and trace retained) as it completes. Calls are serialized but
-	// arrive in completion order. When nil, workers use the lean
-	// streaming analysis and keep only compact samples.
-	Observe func(seed uint64, a *analyze.Analysis)
 	// OnProgress, when non-nil, observes sweep scheduling: it fires once
 	// when a worker picks a seed up and once when the seed finishes.
 	// Calls are serialized; the callback must not block for long (every
@@ -150,7 +146,6 @@ func Run(cfg Config) (*Result, error) {
 	results := make([]SeedResult, len(cfg.Seeds))
 	errs := make([]error, len(cfg.Seeds))
 	jobs := make(chan int)
-	var observeMu sync.Mutex
 	prog := newProgressTracker(cfg)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -159,7 +154,7 @@ func Run(cfg Config) (*Result, error) {
 			defer wg.Done()
 			for idx := range jobs {
 				prog.started(cfg.Seeds[idx])
-				results[idx], errs[idx] = runSeed(cfg, sc, cfg.Seeds[idx], &observeMu)
+				results[idx], errs[idx] = runSeed(cfg, sc, cfg.Seeds[idx])
 				prog.finished(cfg.Seeds[idx], results[idx], errs[idx])
 			}
 		}()
@@ -221,8 +216,8 @@ func (t *progressTracker) finished(seed uint64, r SeedResult, err error) {
 	t.cfg.OnProgress(t.p)
 }
 
-// runSeed is one worker unit: boot, instrument, run, analyze, sample.
-func runSeed(cfg Config, sc workload.Scenario, seed uint64, observeMu *sync.Mutex) (SeedResult, error) {
+// runSeed is one worker unit: boot, instrument, run, analyze (lean), sample.
+func runSeed(cfg Config, sc workload.Scenario, seed uint64) (SeedResult, error) {
 	m := core.NewMachine(kernel.Config{Seed: seed})
 	if sc.Setup != nil {
 		// Scenario setup registers kernel functions (SNMP agent, NFS
@@ -251,16 +246,7 @@ func runSeed(cfg Config, sc workload.Scenario, seed uint64, observeMu *sync.Mute
 	}
 	s.Disarm()
 
-	var a *analyze.Analysis
-	if cfg.Observe != nil {
-		a = s.Analyze()
-		observeMu.Lock()
-		cfg.Observe(seed, a)
-		observeMu.Unlock()
-	} else {
-		a = s.AnalyzeLean()
-	}
-	r := sample(seed, line, a)
+	r := sample(seed, line, s.AnalyzeLean())
 	if st, ok := s.FaultStats(); ok {
 		r.Faults = st.Injected()
 	}

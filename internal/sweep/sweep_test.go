@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"kprof/internal/analyze"
 	"kprof/internal/core"
 	"kprof/internal/faults"
-	"kprof/internal/kernel"
 	"kprof/internal/sim"
 	"kprof/internal/workload"
 )
@@ -66,48 +64,29 @@ func TestConsecutiveSweepsIdentical(t *testing.T) {
 	}
 }
 
-// A seed profiled inside a parallel sweep renders the same summary and
-// trace, byte for byte, as the same seed run serially on its own — the
-// workers share nothing.
+// A seed profiled inside a parallel sweep yields the same per-seed result —
+// every function's calls, net time and run-time share, plus the capture's
+// accounting — as the same seed run serially on its own: the workers share
+// nothing.
 func TestSweepMatchesSerialSummaryAndTrace(t *testing.T) {
-	const dur = 25 * sim.Millisecond
-	serialRun := func(seed uint64) (summary, trace string) {
-		m := core.NewMachine(kernel.Config{Seed: seed})
-		s, err := core.NewSession(m, core.ProfileConfig{})
+	seeds := []uint64{3, 7, 21, 42}
+	cfg := shortNet(seeds, len(seeds))
+	cfg.Params.Duration = 25 * sim.Millisecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := workload.FindScenario(cfg.Scenario)
+	for i, seed := range seeds {
+		want, err := runSeed(cfg, sc, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Arm()
-		if _, err := workload.NetReceive(m, dur); err != nil {
-			t.Fatal(err)
+		if len(want.Fns) == 0 {
+			t.Fatalf("seed %d: serial run profiled no functions", seed)
 		}
-		s.Disarm()
-		a := s.Analyze()
-		return a.SummaryString(0), a.TraceString(analyze.TraceOptions{})
-	}
-
-	seeds := []uint64{3, 7, 21, 42}
-	summaries := make(map[uint64]string)
-	traces := make(map[uint64]string)
-	cfg := shortNet(seeds, len(seeds))
-	cfg.Params.Duration = dur
-	cfg.Observe = func(seed uint64, a *analyze.Analysis) {
-		summaries[seed] = a.SummaryString(0)
-		traces[seed] = a.TraceString(analyze.TraceOptions{})
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range seeds {
-		wantSummary, wantTrace := serialRun(seed)
-		if summaries[seed] != wantSummary {
-			t.Fatalf("seed %d: sweep summary differs from serial run", seed)
-		}
-		if traces[seed] != wantTrace {
-			t.Fatalf("seed %d: sweep trace differs from serial run", seed)
-		}
-		if wantTrace == "" {
-			t.Fatalf("seed %d: empty trace", seed)
+		if !reflect.DeepEqual(res.PerSeed[i], want) {
+			t.Fatalf("seed %d: sweep result differs from serial run\n--- sweep\n%+v\n--- serial\n%+v", seed, res.PerSeed[i], want)
 		}
 	}
 }

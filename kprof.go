@@ -146,18 +146,18 @@ var ParseTagFile = tagfile.ParseString
 // captures loaded from disk rather than a live session. It runs the
 // hardened pipeline — timestamp repair on — since a loaded capture's
 // provenance is unknown; clean captures decode identically either way.
-// Like Session.Analyze, it keeps the trace but not the decoded event list
-// (Analysis.Events stays empty).
+// Like Session.Analyze, it keeps the trace timeline and invocation trees
+// every report and exporter reads.
 func Analyze(c Capture, tags *TagFile) *Analysis {
-	return analyze.ReconstructCapture(c, tags, analyze.ReconstructOptions{DiscardEvents: true, Repair: analyze.DefaultRepair()})
+	return analyze.ReconstructCapture(c, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
 }
 
 // Stitch reconstructs a segmented capture — the drained slices of one
 // continuous run, in drain order — into a single Analysis, reporting any
 // per-boundary losses on Analysis.Segments. Like Analyze, it runs the
-// hardened pipeline and keeps no event list.
+// hardened pipeline and keeps the trace.
 func Stitch(segs []Capture, tags *TagFile) *Analysis {
-	return analyze.Stitch(segs, tags, analyze.ReconstructOptions{DiscardEvents: true, Repair: analyze.DefaultRepair()})
+	return analyze.Stitch(segs, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
 }
 
 // RepairConfig tunes the decoder's timestamp-monotonicity repair; see

@@ -75,6 +75,17 @@ func TestGoldenProdayDrain(t *testing.T) {
 	if fc := forceClosed(a); fc != 0 {
 		t.Fatalf("%d frames force-closed on a lossless run", fc)
 	}
+	// The histogram counts every complete invocation, including those
+	// under roots that never exit (still open at capture end or parked in
+	// a suspended stack) — exactly the summary's timed calls.
+	for _, f := range a.Functions() {
+		if f.CtxSwitch {
+			continue
+		}
+		if got := a.HistogramOf(f.Name).Total; got != f.TimedCalls {
+			t.Errorf("%s: histogram counts %d invocations, summary %d timed calls", f.Name, got, f.TimedCalls)
+		}
+	}
 	golden(t, "proday_drain_seed42.segments", a.SegmentsString())
 	golden(t, "proday_drain_seed42.summary", a.SummaryString(15))
 	golden(t, "proday_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))

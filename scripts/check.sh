@@ -28,6 +28,13 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== kbench module: vet + test =="
+# kbench is a module of its own (kprof/kbench, replace kprof => ../), so
+# the root go build, go vet and go test above skip it. It compiles against
+# the package APIs it drives; without this leg a change to one of them
+# would pass this gate and still break the benchmark's build.
+(cd kbench && go vet ./... && go test ./...)
+
 echo "== long-scenario drain golden =="
 go test -run 'TestGoldenNetReceiveLongDrain|TestGoldenProdayDrain' .
 
