@@ -163,7 +163,7 @@ func (k *Kernel) Inline(addr uint32) {
 	if addr == 0 || k.trig == nil {
 		return
 	}
-	k.Advance(k.trigCost)
+	k.Advance(k.costs.trigger)
 	k.trig(addr)
 }
 
@@ -172,7 +172,7 @@ func (k *Kernel) fireTrigger(fn *Fn, addr uint32) {
 		return
 	}
 	// The trigger is one extra instruction: ~400 ns on the 40 MHz 386.
-	k.Advance(k.trigCost)
+	k.Advance(k.costs.trigger)
 	k.trig(addr)
 }
 

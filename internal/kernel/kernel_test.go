@@ -129,7 +129,7 @@ func TestTriggerCostCharged(t *testing.T) {
 	start := k.Now()
 	k.CallCost(f, 10*sim.Microsecond)
 	elapsed := k.Now() - start
-	want := 10*sim.Microsecond + 2*k.trigCost
+	want := 10*sim.Microsecond + 2*k.costs.trigger
 	if elapsed != want {
 		t.Fatalf("elapsed = %v, want %v", elapsed, want)
 	}
