@@ -48,7 +48,7 @@ func (a *Analysis) CallGraph() *CallGraph {
 		if n.Complete {
 			g.add(parent, n.Name, n.Elapsed())
 		}
-		for _, c := range n.Children {
+		for c := n.first; c != nil; c = c.next {
 			walk(n.Name, c)
 		}
 	}

@@ -131,6 +131,11 @@ func FuzzFaultedDecode(f *testing.F) {
 			t.Fatalf("trace has %d (Push) / %d (PushBatch) items for %d records",
 				len(a.Items), len(b.Items), a.Stats.Records)
 		}
+		for _, x := range []*analyze.Analysis{a, b} {
+			if _, err := analyze.CheckConservation(x); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if a.End < a.Start {
 			t.Fatalf("End %v before Start %v", a.End, a.Start)
 		}

@@ -6,37 +6,54 @@ import (
 	"kprof/internal/sim"
 )
 
-// Node is one reconstructed function invocation.
+// Node is one reconstructed function invocation. Its callees hang off it
+// as a linked list in entry order: FirstChild, then NextSibling.
 type Node struct {
 	Name  string
 	Start sim.Time
 	End   sim.Time
-	// Complete is false for invocations force-closed by mismatch
-	// recovery or still open when the capture ended (their self time is
-	// unknowable and excluded from stats).
-	Complete bool
 	// outOfContext accumulates time this invocation spent switched out
 	// (its process suspended), which the paper's analysis excludes: a
 	// tsleep that blocks for seconds still reports only its in-context
 	// microseconds.
 	outOfContext sim.Time
 	// childTime accumulates the in-context elapsed of direct children as
-	// they close, so Net never walks Children — which the lean streaming
-	// path does not even build.
+	// they close, so Net never walks the children — which the lean
+	// streaming path does not even link.
 	childTime sim.Time
 	// fn carries the decoder's dense name/tag-file index (plus one, zero
 	// when unknown) so folding the node into the stats avoids hashing the
 	// name.
 	fn int32
+	// Complete is false for invocations force-closed by mismatch
+	// recovery or still open when the capture ended (their self time is
+	// unknowable and excluded from stats).
+	Complete bool
+	// marked records that an inline ('=') mark fired directly inside
+	// this invocation; the marks themselves are TraceInline items.
+	marked bool
 
-	Children []*Node
-	Marks    []Mark
+	// first and last bound the callee list; next links n to its caller's
+	// following callee. The full path links them; the lean path leaves
+	// them nil.
+	first, last, next *Node
 }
 
-// Mark is an inline ('=') trigger hit inside an invocation.
-type Mark struct {
-	Name string
-	Time sim.Time
+// FirstChild reports the first callee n entered, or nil for a leaf.
+func (n *Node) FirstChild() *Node { return n.first }
+
+// NextSibling reports the callee n's caller entered after n, or nil when
+// n was the last one (or is a root).
+func (n *Node) NextSibling() *Node { return n.next }
+
+// addChild appends c to n's callees.
+func (n *Node) addChild(c *Node) {
+	if n.last == nil {
+		n.first = c
+	} else {
+		n.last.next = c
+	}
+	n.last = c
 }
 
 // Elapsed is the invocation's in-context elapsed time.
@@ -50,17 +67,20 @@ func (n *Node) Net() sim.Time {
 	return n.Elapsed() - n.childTime
 }
 
-// TraceItem is one line of the chronological code-path trace.
+// TraceItem is one line of the chronological code-path trace. Node is the
+// invocation an enter or exit item belongs to, nil for context-switch
+// markers. An inline item's Node is a name-only node standing for its tag,
+// one per tag name per analysis, so it.Node.Name is the mark's name; such a
+// node has no times and never joins a tree or the statistics.
 type TraceItem struct {
 	Time  sim.Time
-	Depth int
+	Node  *Node
+	Depth int32
 	Kind  TraceKind
-	Node  *Node  // nil for context-switch markers
-	Mark  string // inline mark name
 }
 
 // TraceKind classifies trace lines.
-type TraceKind int
+type TraceKind uint8
 
 // Trace item kinds, in the order the timeline can contain them.
 const (
@@ -152,6 +172,10 @@ type FnStat struct {
 	// '!' modifier): its in-function time is idle, accounted in the
 	// analysis header, so reports skip its row whatever it is named.
 	CtxSwitch bool
+
+	// mark is the name-only node the full path's inline trace items for
+	// this name point at, made on the name's first inline mark.
+	mark *Node
 }
 
 // stack is one process context's call stack.
@@ -215,19 +239,24 @@ type reconstructor struct {
 const nodeArenaCap = 96
 
 // newNode takes a node from the pool (lean path) or carves a fresh one from
-// the current slab, starting a new slab when it is full.
+// the current slab, starting a new slab when it is full. A slab is zeroed
+// when made, so a fresh node needs only its three set fields written; a
+// pooled one is reset whole, links included.
 func (r *reconstructor) newNode(name string, start sim.Time, fn int32) *Node {
+	var nd *Node
 	if n := len(r.freeNodes); n > 0 {
-		nd := r.freeNodes[n-1]
+		nd = r.freeNodes[n-1]
 		r.freeNodes = r.freeNodes[:n-1]
-		*nd = Node{Name: name, Start: start, fn: fn}
-		return nd
+		*nd = Node{}
+	} else {
+		if len(r.nodeArena) == cap(r.nodeArena) {
+			r.nodeArena = make([]Node, 0, nodeArenaCap)
+		}
+		r.nodeArena = r.nodeArena[:len(r.nodeArena)+1]
+		nd = &r.nodeArena[len(r.nodeArena)-1]
 	}
-	if len(r.nodeArena) == cap(r.nodeArena) {
-		r.nodeArena = make([]Node, 0, nodeArenaCap)
-	}
-	r.nodeArena = append(r.nodeArena, Node{Name: name, Start: start, fn: fn})
-	return &r.nodeArena[len(r.nodeArena)-1]
+	nd.Name, nd.Start, nd.fn = name, start, fn
+	return nd
 }
 
 // freeNode recycles a closed node. Callers must only do so on the lean
@@ -328,12 +357,7 @@ func (r *reconstructor) item(ev Event, kind TraceKind, n *Node, depth int) {
 	if !r.keepItems {
 		return
 	}
-	r.a.Items = append(r.a.Items, TraceItem{Time: ev.Time, Depth: depth, Kind: kind, Node: n, Mark: func() string {
-		if kind == TraceInline {
-			return ev.Name
-		}
-		return ""
-	}()})
+	r.a.Items = append(r.a.Items, TraceItem{Time: ev.Time, Node: n, Depth: int32(depth), Kind: kind})
 }
 
 func (r *reconstructor) step(ev Event) {
@@ -464,8 +488,7 @@ func (r *reconstructor) pendingEnter(ev Event) bool {
 func (r *reconstructor) push(st *stack, ev Event) {
 	n := r.newNode(ev.Name, ev.Time, ev.fnIdx)
 	if r.keepItems && len(st.open) > 0 {
-		parent := st.open[len(st.open)-1]
-		parent.Children = append(parent.Children, n)
+		st.open[len(st.open)-1].addChild(n)
 	}
 	depth := len(st.open)
 	st.open = append(st.open, n)
@@ -474,12 +497,18 @@ func (r *reconstructor) push(st *stack, ev Event) {
 
 func (r *reconstructor) inline(ev Event) {
 	st := r.contextStack()
-	if r.keepItems && len(st.open) > 0 {
-		top := st.open[len(st.open)-1]
-		top.Marks = append(top.Marks, Mark{Name: ev.Name, Time: ev.Time})
+	s := r.fnStatOf(ev.Name, ev.fnIdx)
+	s.Inlines++
+	if !r.keepItems {
+		return
 	}
-	r.fnStatOf(ev.Name, ev.fnIdx).Inlines++
-	r.item(ev, TraceInline, nil, len(st.open))
+	if len(st.open) > 0 {
+		st.open[len(st.open)-1].marked = true
+	}
+	if s.mark == nil {
+		s.mark = &Node{Name: s.Name}
+	}
+	r.item(ev, TraceInline, s.mark, len(st.open))
 }
 
 func (r *reconstructor) exit(ev Event) {
@@ -533,11 +562,12 @@ func (r *reconstructor) adopt(i int, ev Event) {
 	for _, n := range st.open {
 		n.outOfContext += resumeAt - st.suspendedAt
 	}
-	// Frames completed since the switch-in belong to the resumed frame.
+	// Frames completed since the switch-in belong to the resumed frame,
+	// after the callees it made before it was switched out.
 	if r.current != nil {
 		top := st.open[len(st.open)-1]
 		for _, c := range r.current.doneRoots() {
-			top.Children = append(top.Children, c)
+			top.addChild(c)
 		}
 		top.childTime += r.current.doneElapsed
 		// Unclosed tentative frames would be a malformed capture;

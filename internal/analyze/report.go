@@ -163,11 +163,11 @@ func (a *Analysis) WriteTrace(w io.Writer, opts TraceOptions) error {
 			fmt.Fprintf(ew, "... (truncated at %d lines)\n", opts.MaxLines)
 			break
 		}
-		indent := strings.Repeat("    ", it.Depth)
+		indent := strings.Repeat("    ", int(it.Depth))
 		switch it.Kind {
 		case TraceEnter:
 			n := it.Node
-			if len(n.Children) == 0 && len(n.Marks) == 0 {
+			if n.first == nil && !n.marked {
 				fmt.Fprintf(ew, "%s %s-> %s (%d us)\n", it.Time, indent, n.Name, n.Net().Micros())
 			} else {
 				fmt.Fprintf(ew, "%s %s-> %s (%d us, %d total)\n",
@@ -184,7 +184,7 @@ func (a *Analysis) WriteTrace(w io.Writer, opts TraceOptions) error {
 				fmt.Fprintf(ew, "%s %s<-\n", it.Time, indent)
 			}
 		case TraceInline:
-			fmt.Fprintf(ew, "%s %s== %s\n", it.Time, indent, it.Mark)
+			fmt.Fprintf(ew, "%s %s== %s\n", it.Time, indent, it.Node.Name)
 		case TraceSwitchOut:
 			fmt.Fprintf(ew, "%s -> swtch ---- Context switch out ----\n", it.Time)
 		case TraceSwitchIn:

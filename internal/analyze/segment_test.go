@@ -289,10 +289,14 @@ func FuzzSegmentBoundary(f *testing.F) {
 			t.Fatalf("Recovered=%d < force-closed=%d", lossy.Recovered, forced)
 		}
 		// Each record adds at most one trace item, the bound Stitch sizes
-		// the trace to once.
+		// the trace to once; every complete invocation's callees account
+		// for exactly its elapsed minus net.
 		for name, a := range map[string]*Analysis{"whole": whole, "clean": clean, "lossy": lossy} {
 			if len(a.Items) > a.Stats.Records {
 				t.Fatalf("cut %d: %s trace has %d items for %d records", cut, name, len(a.Items), a.Stats.Records)
+			}
+			if _, err := CheckConservation(a); err != nil {
+				t.Fatalf("cut %d: %s: %v", cut, name, err)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"kprof/internal/core"
@@ -12,8 +13,9 @@ import (
 // TestFullAnalyzeShape pins what the full reconstruction of a drained
 // capture keeps and what it costs: the trace every report and exporter
 // reads, sized once to the record count (each record adds at most one
-// trace item), and well under one allocation per record — invocation nodes
-// come from slabs, not one allocation each.
+// trace item), and a small fraction of an allocation per record —
+// invocation nodes come from slabs and link their callees in place. Its
+// bytes per record are a 24-byte trace item plus about half a node.
 func TestFullAnalyzeShape(t *testing.T) {
 	sc, ok := workload.FindScenario("netrecv-long")
 	if !ok {
@@ -40,14 +42,25 @@ func TestFullAnalyzeShape(t *testing.T) {
 	if len(a.Items) == 0 {
 		t.Error("full analysis kept no trace")
 	}
+	records := float64(a.Stats.Records)
 	if got, want := cap(a.Items), a.Stats.Records; got != want {
 		t.Errorf("cap(Items) = %d, want the record count %d (sized once)", got, want)
 	}
 
-	const maxPerRecord = 0.5
+	const maxAllocsPerRecord, maxBytesPerRecord = 0.05, 72
 	allocs := testing.AllocsPerRun(3, func() { s.Analyze() })
-	if per := allocs / float64(a.Stats.Records); per > maxPerRecord {
-		t.Errorf("full Analyze allocates %.3f times per record (%.0f over %d records), want <= %.1f",
-			per, allocs, a.Stats.Records, maxPerRecord)
+	if per := allocs / records; per > maxAllocsPerRecord {
+		t.Errorf("full Analyze allocates %.3f times per record (%.0f over %d records), want <= %.2f",
+			per, allocs, a.Stats.Records, maxAllocsPerRecord)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Analyze()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc - before.TotalAlloc)
+	if per := bytes / records; per > maxBytesPerRecord {
+		t.Errorf("full Analyze allocates %.1f B per record (%.0f B over %d records), want <= %d",
+			per, bytes, a.Stats.Records, maxBytesPerRecord)
+	}
+	t.Logf("%d records: %.4f allocs and %.1f B per record", a.Stats.Records, allocs/records, bytes/records)
 }

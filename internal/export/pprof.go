@@ -174,7 +174,7 @@ func (b *pprofBuilder) walk(parent int32, n *analyze.Node) {
 		sp.calls++
 		sp.ns += ns
 	}
-	for _, c := range n.Children {
+	for c := n.FirstChild(); c != nil; c = c.NextSibling() {
 		b.walk(p, c)
 	}
 }

@@ -190,7 +190,7 @@ func WriteChromeTrace(w io.Writer, a *analyze.Analysis) error {
 			}
 			emit(f)
 		case analyze.TraceInline:
-			emit(`"name":` + strconv.Quote(it.Mark) +
+			emit(`"name":` + strconv.Quote(it.Node.Name) +
 				`,"ph":"i","s":"t","pid":` + strconv.Itoa(tracePID) +
 				`,"tid":` + strconv.FormatInt(tidOf(itemBlock[i]), 10) +
 				`,"ts":` + traceUS(it.Time))
