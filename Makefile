@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench gobench bench-check digests digests-diff fuzz check fmt vet docs-check cover
+.PHONY: all build test race bench gobench bench-check bench-pairs digests digests-diff fuzz check fmt vet docs-check cover
 
 all: build test
 
@@ -44,6 +44,15 @@ digests:
 # any workload's digests differ or any repeat failed.
 digests-diff:
 	./scripts/output_digests.sh --against $(REV) $(SEED)
+
+# The benchmark in alternating pairs, REV against this checkout:
+# make bench-pairs REV=HEAD~1 [PAIRS=10] [SEED=3] [WORKLOADS="..."]. Pair i
+# runs seed SEED+i on both sides. Prints quartiles and a verdict per
+# workload and end-to-end metric; exits non-zero on a worse verdict or a
+# failed run.
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench_pairs.sh --against $(REV) -n $(PAIRS) --seed $(SEED) $(WORKLOADS)
 
 # The conventional go-test microbenchmarks (exporters, decode internals).
 gobench:

@@ -207,7 +207,12 @@ type Session struct {
 	mode     CaptureMode
 	drain    DrainConfig
 	segments []Segment
-	drainEv  *sim.Event
+	// segRecords and segDropped are the running sums of the segments'
+	// Records and Capture.Dropped, so a progress snapshot costs the same
+	// however many segments a long capture has drained.
+	segRecords int
+	segDropped uint64
+	drainEv    *sim.Event
 	// drainPollFn is the poll body, bound once so the periodic re-arm can
 	// reuse drainEv's allocation (Reschedule) instead of building a fresh
 	// closure and event every interval.
@@ -298,19 +303,16 @@ func (s *Session) notifyProgress() {
 		return
 	}
 	p := Progress{
-		Now:        s.M.K.Now(),
-		Armed:      s.Card.Armed(),
-		Mode:       s.mode,
-		Stored:     s.Card.Stored(),
-		Depth:      s.Card.Depth(),
-		Overflowed: s.Card.Overflowed(),
-		Segments:   len(s.segments),
-		Dropped:    s.Card.Dropped,
-		DrainErrs:  s.drainErrs,
-	}
-	for _, seg := range s.segments {
-		p.SegmentRecords += seg.Records
-		p.Dropped += seg.Capture.Dropped
+		Now:            s.M.K.Now(),
+		Armed:          s.Card.Armed(),
+		Mode:           s.mode,
+		Stored:         s.Card.Stored(),
+		Depth:          s.Card.Depth(),
+		Overflowed:     s.Card.Overflowed(),
+		Segments:       len(s.segments),
+		SegmentRecords: s.segRecords,
+		Dropped:        s.Card.Dropped + s.segDropped,
+		DrainErrs:      s.drainErrs,
 	}
 	if s.injector != nil {
 		p.FaultsInjected = s.injector.Stats().Injected()
@@ -421,6 +423,7 @@ func (s *Session) Reset() {
 	s.finishPipe()
 	s.Card.Reset()
 	s.segments = nil
+	s.segRecords, s.segDropped = 0, 0
 	s.drainErr = nil
 	s.drainErrs = 0
 	s.pipedA = nil
@@ -620,6 +623,8 @@ func (s *Session) drainNow(rearm bool) {
 		seg.Recycled = true
 	}
 	s.segments = append(s.segments, seg)
+	s.segRecords += seg.Records
+	s.segDropped += seg.Capture.Dropped
 	if s.onSegment != nil {
 		s.onSegment(seg)
 	}

@@ -92,6 +92,7 @@ go test -count=1 -run 'TestGoldenPGO' .
 
 echo "== fuzz smoke =="
 go test -run 'FuzzDecodeUnwrap|FuzzSegmentBoundary|FuzzFaultedDecode|FuzzProdayDecode' ./internal/analyze/
+go test -run 'FuzzReadArtifact' ./internal/bench/
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 10s ./internal/analyze/
 fi
