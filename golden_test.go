@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,13 +61,15 @@ func golden(t *testing.T, name, got string) {
 	t.Fatalf("%s: outputs differ", path)
 }
 
-// conserved checks the invocation trees of a golden capture against their
-// conservation law: for every complete invocation (each exit item),
-// Elapsed minus Net equals the summed Elapsed of its linked callees.
-func conserved(t *testing.T, a *kprof.Analysis) {
+// checkTrees checks the invocation trees of a golden capture against their
+// conservation law — for every complete invocation (each exit item),
+// Elapsed minus Net equals the summed Elapsed of its linked callees — and
+// the profile the reconstruction folded while streaming against a walk of
+// those trees (foldMatchesWalk).
+func checkTrees(t *testing.T, a *kprof.Analysis) {
 	t.Helper()
 	n := 0
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Kind != analyze.TraceExit {
 			continue
 		}
@@ -84,10 +87,69 @@ func conserved(t *testing.T, a *kprof.Analysis) {
 		t.Fatal("no complete invocation to check")
 	}
 	t.Logf("conservation holds for %d complete invocations", n)
+	foldMatchesWalk(t, a)
+}
+
+// foldMatchesWalk compares the analysis's folded profile with the walk the
+// pprof export made over the finished trees before the reconstruction
+// folded the profile itself: from every root that exited at depth 0, in
+// trace order, each tree in pre-order, numbering functions as it first
+// meets them. The functions, the paths with their calls, net and elapsed
+// time, and the sample order must all match.
+func foldMatchesWalk(t *testing.T, a *kprof.Analysis) {
+	t.Helper()
+	var (
+		funcs   []string
+		ids     = map[string]int32{}
+		paths   []analyze.ProfilePath
+		pathIx  = map[[2]int32]int32{}
+		samples []int32
+	)
+	var walk func(parent int32, n *analyze.Node)
+	walk = func(parent int32, n *analyze.Node) {
+		id, ok := ids[n.Name]
+		if !ok {
+			funcs = append(funcs, n.Name)
+			id = int32(len(funcs))
+			ids[n.Name] = id
+		}
+		ix, ok := pathIx[[2]int32{parent, id}]
+		if !ok {
+			ix = int32(len(paths))
+			paths = append(paths, analyze.ProfilePath{Parent: parent, Fn: id})
+			pathIx[[2]int32{parent, id}] = ix
+		}
+		if n.Complete {
+			p := &paths[ix]
+			if p.Calls == 0 {
+				samples = append(samples, ix)
+			}
+			p.Calls++
+			p.NS += max(int64(n.Net()), 0)
+			p.Elapsed += n.Elapsed()
+		}
+		for c := n.FirstChild(); c != nil; c = c.NextSibling() {
+			walk(ix, c)
+		}
+	}
+	for _, it := range a.Items() {
+		if it.Kind == analyze.TraceExit && it.Node != nil && it.Depth == 0 {
+			walk(-1, it.Node)
+		}
+	}
+	prof := a.Profile()
+	if !slices.Equal(prof.Funcs(), funcs) {
+		t.Fatalf("fold numbers functions %q, the walk %q", prof.Funcs(), funcs)
+	}
+	if !slices.Equal(prof.Paths(), paths) || !slices.Equal(prof.Samples(), samples) {
+		t.Fatalf("fold has %d paths and %d samples, the walk %d and %d, or their values differ",
+			len(prof.Paths()), len(prof.Samples()), len(paths), len(samples))
+	}
+	t.Logf("fold matches the walk: %d functions, %d samples", len(funcs), len(samples))
 }
 
 // profileScenario runs one (scenario, seed) pair and returns the analysis,
-// its trees checked by conserved.
+// its trees checked by checkTrees.
 func profileScenario(t *testing.T, seed uint64, run func(m *kprof.Machine)) *kprof.Analysis {
 	t.Helper()
 	m := kprof.NewMachine(kprof.MachineConfig{Seed: seed})
@@ -99,7 +161,7 @@ func profileScenario(t *testing.T, seed uint64, run func(m *kprof.Machine)) *kpr
 	run(m)
 	s.Disarm()
 	a := s.Analyze()
-	conserved(t, a)
+	checkTrees(t, a)
 	return a
 }
 
@@ -169,7 +231,7 @@ func TestGoldenNetReceiveLongDrain(t *testing.T) {
 	if a.Stats.Records != total || a.Stats.Dropped != 0 {
 		t.Fatalf("stitched stats %+v, want %d records and no loss", a.Stats, total)
 	}
-	conserved(t, a)
+	checkTrees(t, a)
 	golden(t, "netrecv_long_drain_seed42.segments", a.SegmentsString())
 	golden(t, "netrecv_long_drain_seed42.summary", a.SummaryString(15))
 	golden(t, "netrecv_long_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
@@ -265,7 +327,7 @@ func TestGoldenPGOBudgetPlan(t *testing.T) {
 	}
 	s.Disarm()
 	a := s.Analyze()
-	conserved(t, a)
+	checkTrees(t, a)
 	cands := kprof.PGOCandidatesFromAnalysis(a, m.ModuleOf())
 	plan := kprof.OptimizeInstrumentation(cands, kprof.PGOBudget{Tags: 16, OverheadNs: 5_000_000})
 	var b strings.Builder

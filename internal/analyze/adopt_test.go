@@ -38,7 +38,7 @@ func TestAdoptSplicesTentativeFrames(t *testing.T) {
 	}
 	// And c must appear as a child of b in the tree.
 	var bNode *Node
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Kind == TraceExit && it.Node != nil && it.Node.Name == "b" {
 			bNode = it.Node
 		}
@@ -121,7 +121,7 @@ func TestAdoptAppendsAfterExistingCallees(t *testing.T) {
 		[2]uint32{503, 50}, // b exit        <- orphan: adopts A's stack
 	))
 	var b *Node
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Kind == TraceExit && it.Node.Name == "b" {
 			b = it.Node
 		}
@@ -142,5 +142,15 @@ func TestAdoptAppendsAfterExistingCallees(t *testing.T) {
 	}
 	if _, err := CheckConservation(a); err != nil {
 		t.Fatal(err)
+	}
+	// c and isaintr are folded at their own depth-0 exits and again under
+	// b, as the walk of the trace visits them: 6 sample calls for the 4
+	// complete invocations.
+	calls, err := CheckProfile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 6 {
+		t.Fatalf("profile samples %d calls, want 6", calls)
 	}
 }

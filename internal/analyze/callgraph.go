@@ -31,36 +31,34 @@ type CallGraph struct {
 	byCaller map[string][]*Arc
 }
 
-// CallGraph builds the measured call graph of the capture. It walks the
-// invocation trees only from roots that exited at depth 0, so complete
-// invocations under a root that never exits (still open at capture end,
-// force-closed, or parked in a suspended stack) are missing from its arcs;
-// counting them needs each node's caller, which the trace items do not
-// carry.
+// CallGraph builds the measured call graph of the capture from the
+// analysis's call-path profile: each arc sums the profile paths that end
+// in the callee under a path ending in the caller, and root paths are
+// called from "" (rendered <top>). It therefore counts the invocations the
+// pprof export holds, so complete invocations under a root that never
+// exits (still open at capture end, force-closed, or parked in a
+// suspended stack) are missing from its arcs.
 func (a *Analysis) CallGraph() *CallGraph {
 	g := &CallGraph{
 		arcs:     make(map[[2]string]*Arc),
 		byCallee: make(map[string][]*Arc),
 		byCaller: make(map[string][]*Arc),
 	}
-	var walk func(parent string, n *Node)
-	walk = func(parent string, n *Node) {
-		if n.Complete {
-			g.add(parent, n.Name, n.Elapsed())
+	funcs, paths := a.prof.funcs, a.prof.paths
+	for _, p := range paths {
+		if p.Calls == 0 {
+			continue
 		}
-		for c := n.first; c != nil; c = c.next {
-			walk(n.Name, c)
+		caller := ""
+		if p.Parent >= 0 {
+			caller = funcs[paths[p.Parent].Fn-1]
 		}
-	}
-	for _, it := range a.Items {
-		if it.Kind == TraceExit && it.Node != nil && it.Depth == 0 {
-			walk("", it.Node)
-		}
+		g.add(caller, funcs[p.Fn-1], int(p.Calls), p.Elapsed)
 	}
 	return g
 }
 
-func (g *CallGraph) add(caller, callee string, t sim.Time) {
+func (g *CallGraph) add(caller, callee string, calls int, t sim.Time) {
 	key := [2]string{caller, callee}
 	arc, ok := g.arcs[key]
 	if !ok {
@@ -69,7 +67,7 @@ func (g *CallGraph) add(caller, callee string, t sim.Time) {
 		g.byCallee[callee] = append(g.byCallee[callee], arc)
 		g.byCaller[caller] = append(g.byCaller[caller], arc)
 	}
-	arc.Count++
+	arc.Count += calls
 	arc.Time += t
 }
 

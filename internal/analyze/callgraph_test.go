@@ -46,6 +46,11 @@ func TestCallGraphArcs(t *testing.T) {
 	if !foundTop {
 		t.Fatal("top-level call to c missing")
 	}
+	// The graph comes from the profile folded while streaming: reading it
+	// builds no trace.
+	if a.trace.build == nil || a.trace.items != nil {
+		t.Fatal("CallGraph built the trace")
+	}
 }
 
 func TestCallGraphRender(t *testing.T) {

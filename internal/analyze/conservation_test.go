@@ -14,7 +14,7 @@ import (
 // checked. Exported for the external test package's fuzz target.
 func CheckConservation(a *Analysis) (int, error) {
 	n := 0
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Kind != TraceExit {
 			continue
 		}

@@ -7,10 +7,12 @@
 package analyze_test
 
 import (
+	"bytes"
 	"testing"
 
 	"kprof/internal/analyze"
 	"kprof/internal/core"
+	"kprof/internal/export"
 	"kprof/internal/hw"
 	"kprof/internal/kernel"
 	"kprof/internal/sim"
@@ -98,22 +100,29 @@ func FuzzFaultedDecode(f *testing.F) {
 		// rc takes the records one Push at a time, rb one PushBatch per
 		// segment — the drain path's shape. Both must reconstruct the same
 		// capture.
+		// Stitch takes the same segments, which gives its analysis the
+		// trace the streamed ones do not keep.
 		rc := analyze.NewReconstructor(hw.Config{}, tags, opts)
 		rb := analyze.NewReconstructor(hw.Config{}, tags, opts)
+		var segs []hw.Capture
 		for lo := 0; lo < len(recs); lo += segLen {
 			hi := min(lo+segLen, len(recs))
 			for _, r := range recs[lo:hi] {
 				rc.Push(r)
 			}
 			rb.PushBatch(recs[lo:hi])
+			seg := hw.Capture{Records: recs[lo:hi]}
 			if hi < len(recs) {
 				// Odd splits are lossy boundaries, exercising force-close.
 				rc.EndSegment(uint64(split%2), false)
 				rb.EndSegment(uint64(split%2), false)
+				seg.Dropped = uint64(split % 2)
 			}
+			segs = append(segs, seg)
 		}
 		a := rc.Finish(false, 0)
 		b := rb.Finish(false, 0)
+		st := analyze.Stitch(segs, tags, opts)
 		if b.Stats != a.Stats || b.Idle != a.Idle || b.Switches != a.Switches {
 			t.Fatalf("PushBatch diverges from Push: stats %+v idle %v switches %d, want %+v idle %v switches %d",
 				b.Stats, b.Idle, b.Switches, a.Stats, a.Idle, a.Switches)
@@ -121,20 +130,32 @@ func FuzzFaultedDecode(f *testing.F) {
 		if got, want := b.SummaryString(0), a.SummaryString(0); got != want {
 			t.Fatalf("PushBatch summary differs from Push:\n--- Push\n%s--- PushBatch\n%s", want, got)
 		}
+		if got, want := st.SummaryString(0), a.SummaryString(0); got != want {
+			t.Fatalf("Stitch summary differs from Push:\n--- Push\n%s--- Stitch\n%s", want, got)
+		}
+		pa := export.MarshalPprof(a, export.PprofOptions{})
+		if pb := export.MarshalPprof(b, export.PprofOptions{}); !bytes.Equal(pb, pa) {
+			t.Fatal("PushBatch pprof differs from Push")
+		}
+		if ps := export.MarshalPprof(st, export.PprofOptions{}); !bytes.Equal(ps, pa) {
+			t.Fatal("Stitch pprof differs from Push")
+		}
 
 		if a.Stats.Records != len(recs) {
 			t.Fatalf("decoded %d records of %d", a.Stats.Records, len(recs))
 		}
 		// Each record adds at most one trace item, the bound Stitch and
-		// ReconstructCapture size the trace to once.
-		if len(a.Items) > a.Stats.Records || len(b.Items) > b.Stats.Records {
-			t.Fatalf("trace has %d (Push) / %d (PushBatch) items for %d records",
-				len(a.Items), len(b.Items), a.Stats.Records)
+		// ReconstructCapture size the trace to once; the trees keep their
+		// conservation law; and the profile folded while streaming is the
+		// one a walk of the trace finds.
+		if len(st.Items()) > st.Stats.Records {
+			t.Fatalf("trace has %d items for %d records", len(st.Items()), st.Stats.Records)
 		}
-		for _, x := range []*analyze.Analysis{a, b} {
-			if _, err := analyze.CheckConservation(x); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := analyze.CheckConservation(st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := analyze.CheckProfile(st); err != nil {
+			t.Fatal(err)
 		}
 		if a.End < a.Start {
 			t.Fatalf("End %v before Start %v", a.End, a.Start)

@@ -31,7 +31,7 @@ type Bucket struct {
 func (a *Analysis) HistogramOf(name string) *Histogram {
 	h := &Histogram{Name: name}
 	var durations []sim.Time
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Kind == TraceExit && it.Node != nil && it.Node.Complete && it.Node.Name == name {
 			durations = append(durations, it.Node.Elapsed())
 		}

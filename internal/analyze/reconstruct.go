@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"sort"
+	"sync"
 
 	"kprof/internal/sim"
 )
@@ -34,8 +35,8 @@ type Node struct {
 	marked bool
 
 	// first and last bound the callee list; next links n to its caller's
-	// following callee. The full path links them; the lean path leaves
-	// them nil.
+	// following callee. The fold and trace-keeping paths link them; the
+	// lean path leaves them nil.
 	first, last, next *Node
 }
 
@@ -120,13 +121,10 @@ type SegmentInfo struct {
 
 // Analysis is the full reconstruction of a capture. It holds no decoded
 // event list: the reconstruction consumes each event as it is decoded.
+// An analysis that Stitch or ReconstructCapture built without DiscardTrace
+// keeps a reference to the records it was built from, to build its trace
+// on first use (see Items).
 type Analysis struct {
-	// Items is the chronological code-path trace. Each record decodes to
-	// one event and each event adds at most one item (orphan exits,
-	// unknown tags and force-closed frames add none), so a decoded
-	// capture has len(Items) <= Stats.Records. Stitch and
-	// ReconstructCapture size it to that bound once.
-	Items []TraceItem
 	Stats DecodeStats
 
 	// Segments describes the drained slices of a stitched capture, in
@@ -148,7 +146,46 @@ type Analysis struct {
 	Recovered int
 
 	fns map[string]*FnStat
+
+	// prof is the call-path trie the fold path folds each root into; empty
+	// for a lean analysis.
+	prof Profile
+
+	// trace holds the code-path trace, built on the first Items call.
+	trace struct {
+		once  sync.Once
+		items []TraceItem
+		// build reruns the trace-keeping reconstruction over the
+		// analysis's records; nil once it has run, and for analyses with
+		// no records to rerun.
+		build func() []TraceItem
+	}
 }
+
+// Items returns the chronological code-path trace and, through its enter
+// and exit items, the invocation trees. Each record decodes to one event
+// and each event adds at most one item (orphan exits, unknown tags and
+// force-closed frames add none), so len(Items) <= Stats.Records; the trace
+// is sized to that bound once.
+//
+// A full analysis from Stitch or ReconstructCapture builds the trace on the
+// first call, by reconstructing its records a second time with the trace
+// kept; every later call, from any goroutine, returns the same slice. A
+// lean analysis (DiscardTrace) and one finished through a streaming
+// Reconstructor have no trace and return nil.
+func (a *Analysis) Items() []TraceItem {
+	a.trace.once.Do(func() {
+		if a.trace.build != nil {
+			a.trace.items = a.trace.build()
+			a.trace.build = nil
+		}
+	})
+	return a.trace.items
+}
+
+// Profile returns the call-path trie of a full analysis, which the pprof
+// export and CallGraph read. It is empty for a lean analysis.
+func (a *Analysis) Profile() *Profile { return &a.prof }
 
 // FnStat aggregates one function's invocations.
 type FnStat struct {
@@ -173,28 +210,49 @@ type FnStat struct {
 	// analysis header, so reports skip its row whatever it is named.
 	CtxSwitch bool
 
-	// mark is the name-only node the full path's inline trace items for
-	// this name point at, made on the name's first inline mark.
+	// mark is the name-only node the trace's inline items for this name
+	// point at, made on the name's first inline mark.
 	mark *Node
+	// profID is the function's id in the analysis's Profile, zero until
+	// the fold first meets it.
+	profID int32
 }
 
 // stack is one process context's call stack.
 type stack struct {
 	open []*Node
-	done []*Node // completed top-level frames (not kept by the lean path)
+	// done holds the tentative roots: frames that completed at depth 0
+	// while the resumed context was still unknown, which adoption splices
+	// under the resumed frame. The lean path keeps none.
+	done []*Node
 	// doneElapsed is the summed in-context elapsed of the done roots —
 	// what splicing them under an adopted frame adds to its childTime.
 	doneElapsed sim.Time
 	suspendedAt sim.Time
 }
 
+// mode selects what a reconstruction keeps beyond the statistics.
+type mode uint8
+
+const (
+	// leanMode keeps nothing per invocation: callees are not linked, and
+	// each node returns to the free list when it closes. A sweep worker's
+	// Analysis holds only the per-function stats.
+	leanMode mode = iota
+	// foldMode links callees and folds each root's tree into the profile
+	// at the root's depth-0 exit, then returns the tree's nodes to the
+	// free list. It keeps no trace.
+	foldMode
+	// traceMode keeps the trace timeline and every invocation tree under
+	// it, so no node is ever reused.
+	traceMode
+)
+
 // reconstructor is the analysis state machine.
 type reconstructor struct {
 	a *Analysis
 
-	// keepItems retains the trace timeline; the streaming path drops it
-	// so a sweep worker's Analysis holds only the per-function stats.
-	keepItems bool
+	mode      mode
 	haveStart bool
 	// lastSwitchIn tracks the most recent context-switch-in time, so
 	// pending-resume adoption does not depend on the retained trace.
@@ -210,9 +268,10 @@ type reconstructor struct {
 	idleIntr  sim.Time
 
 	// freeNodes and freeStacks recycle closed nodes and drained context
-	// stacks so the steady state allocates nothing per record. Nodes are
-	// pooled only on the lean path (keepItems false): the full path hands
-	// every node to the retained trace, so none may be reused.
+	// stacks so the steady state allocates nothing per record. The lean
+	// path pools each node when it closes and the fold path each tree
+	// once folded; the trace-keeping path hands every node to the trace,
+	// so none may be reused.
 	freeNodes  []*Node
 	freeStacks []*stack
 
@@ -222,8 +281,8 @@ type reconstructor struct {
 	// capacity — a.fns holds the stable per-entry pointers — with an
 	// individual-allocation fallback past the cap. nodeArena is the
 	// current Node slab: fresh nodes are carved from it, and a full slab
-	// is replaced by a new one, so the full path (which retains every
-	// node) allocates once per slab rather than once per invocation.
+	// is replaced by a new one, so the trace-keeping path (which retains
+	// every node) allocates once per slab rather than once per invocation.
 	statArena []FnStat
 	nodeArena []Node
 
@@ -238,7 +297,7 @@ type reconstructor struct {
 // working set of the lean path before the recycle pool warms up.
 const nodeArenaCap = 96
 
-// newNode takes a node from the pool (lean path) or carves a fresh one from
+// newNode takes a node from the pool or carves a fresh one from
 // the current slab, starting a new slab when it is full. A slab is zeroed
 // when made, so a fresh node needs only its three set fields written; a
 // pooled one is reset whole, links included.
@@ -259,8 +318,8 @@ func (r *reconstructor) newNode(name string, start sim.Time, fn int32) *Node {
 	return nd
 }
 
-// freeNode recycles a closed node. Callers must only do so on the lean
-// path, after the node's last read — nothing retains it there.
+// freeNode recycles a node after its last read. Callers must only do so
+// when nothing retains it: never on the trace-keeping path.
 func (r *reconstructor) freeNode(n *Node) {
 	if r.freeNodes == nil {
 		r.freeNodes = make([]*Node, 0, nodeArenaCap)
@@ -278,7 +337,7 @@ func (r *reconstructor) newStack() *stack {
 	return &stack{}
 }
 
-// freeStack recycles a drained context stack (both paths: the stack
+// freeStack recycles a drained context stack (every mode: the stack
 // struct itself is never retained, only the nodes it pointed at).
 func (r *reconstructor) freeStack(st *stack) {
 	if st == nil {
@@ -354,10 +413,10 @@ func (r *reconstructor) fnStatOf(name string, idx int32) *FnStat {
 }
 
 func (r *reconstructor) item(ev Event, kind TraceKind, n *Node, depth int) {
-	if !r.keepItems {
+	if r.mode != traceMode {
 		return
 	}
-	r.a.Items = append(r.a.Items, TraceItem{Time: ev.Time, Node: n, Depth: int32(depth), Kind: kind})
+	r.a.trace.items = append(r.a.trace.items, TraceItem{Time: ev.Time, Node: n, Depth: int32(depth), Kind: kind})
 }
 
 func (r *reconstructor) step(ev Event) {
@@ -427,11 +486,8 @@ func (r *reconstructor) switchIn(ev Event) {
 		// switch-out was lost (dropped strobe). The stack was never
 		// parked, so no orphan exit can reclaim it and finish never
 		// walks it — recycle it instead of leaking it.
-		if !r.keepItems {
-			for _, n := range r.current.open {
-				r.freeNode(n)
-			}
-		}
+		r.discardOpen(r.current)
+		r.dropTentative(r.current)
 		r.freeStack(r.current)
 		r.current = nil
 	}
@@ -447,10 +503,11 @@ func (r *reconstructor) resolvePendingAsNew(now sim.Time) {
 	}
 	r.pending = false
 	// Completed top-level frames of the anonymous block are already in
-	// the stats; nothing further to attach.
+	// the stats and the profile; nothing further to attach.
 	if r.current == nil {
 		r.current = r.newStack()
 	}
+	r.dropTentative(r.current)
 }
 
 // contextStack returns the stack events should apply to right now.
@@ -487,7 +544,7 @@ func (r *reconstructor) pendingEnter(ev Event) bool {
 
 func (r *reconstructor) push(st *stack, ev Event) {
 	n := r.newNode(ev.Name, ev.Time, ev.fnIdx)
-	if r.keepItems && len(st.open) > 0 {
+	if r.mode != leanMode && len(st.open) > 0 {
 		st.open[len(st.open)-1].addChild(n)
 	}
 	depth := len(st.open)
@@ -499,7 +556,7 @@ func (r *reconstructor) inline(ev Event) {
 	st := r.contextStack()
 	s := r.fnStatOf(ev.Name, ev.fnIdx)
 	s.Inlines++
-	if !r.keepItems {
+	if r.mode != traceMode {
 		return
 	}
 	if len(st.open) > 0 {
@@ -541,6 +598,7 @@ func (r *reconstructor) exit(ev Event) {
 		if r.current == nil {
 			r.current = r.newStack()
 		}
+		r.dropTentative(r.current)
 		return
 	}
 	st := r.contextStack()
@@ -572,14 +630,8 @@ func (r *reconstructor) adopt(i int, ev Event) {
 		top.childTime += r.current.doneElapsed
 		// Unclosed tentative frames would be a malformed capture;
 		// recover by discarding (counted).
-		if len(r.current.open) > 0 {
-			r.a.Recovered += len(r.current.open)
-			if !r.keepItems {
-				for _, n := range r.current.open {
-					r.freeNode(n)
-				}
-			}
-		}
+		r.a.Recovered += len(r.current.open)
+		r.discardOpen(r.current)
 		r.freeStack(r.current)
 	}
 	r.current = st
@@ -597,6 +649,50 @@ func (r *reconstructor) lastSwitchInTime() sim.Time {
 // splicing a tentative block into an adopted stack).
 func (st *stack) doneRoots() []*Node {
 	return st.done
+}
+
+// discardOpen recycles the frames a stack loses unclosed: a lost
+// switch-out, or tentative frames still open at adoption. On the fold
+// path they are linked under the stack's bottom frame, along with their
+// closed callees.
+func (r *reconstructor) discardOpen(st *stack) {
+	switch {
+	case r.mode == leanMode:
+		for _, n := range st.open {
+			r.freeNode(n)
+		}
+	case r.mode == foldMode && len(st.open) > 0:
+		r.release(st.open[0])
+	}
+}
+
+// dropTentative forgets st's tentative roots when their pending block
+// resolves without an adoption (a new context, an unmatched orphan exit, a
+// lost switch-out or a loss boundary): no tree will splice them. The fold
+// path already folded them at their own exit and recycles them here.
+func (r *reconstructor) dropTentative(st *stack) {
+	for i, n := range st.done {
+		if r.mode == foldMode {
+			r.release(n)
+		}
+		st.done[i] = nil
+	}
+	st.done = st.done[:0]
+}
+
+// exitRoot handles a root's depth-0 exit on the linked paths. A root that
+// completes while the resumed context is still unknown is tentative: it
+// stays on the pending stack's done list for adoption to splice. The fold
+// path folds every root here, in exit order, and recycles its tree unless
+// it is tentative.
+func (r *reconstructor) exitRoot(st *stack, n *Node) {
+	tentative := r.pending && st == r.current
+	if tentative {
+		st.done = append(st.done, n)
+	}
+	if r.mode == foldMode {
+		r.fold(-1, n, !tentative)
+	}
 }
 
 // closeOn closes the frame named by ev on st. With recovery enabled,
@@ -626,7 +722,7 @@ func (r *reconstructor) closeOn(st *stack, ev Event, recover bool) bool {
 		st.open[len(st.open)-1].childTime += top.Elapsed()
 		r.a.Recovered++
 		r.record(top)
-		if !r.keepItems {
+		if r.mode == leanMode {
 			r.freeNode(top)
 		}
 	}
@@ -638,17 +734,17 @@ func (r *reconstructor) closeOn(st *stack, ev Event, recover bool) bool {
 		st.open[len(st.open)-1].childTime += n.Elapsed()
 	} else {
 		st.doneElapsed += n.Elapsed()
-		if r.keepItems {
-			st.done = append(st.done, n)
-		}
 	}
 	r.record(n)
 	r.item(ev, TraceExit, n, len(st.open))
 	if st == r.idleStack && len(st.open) == 0 && r.idleOpen {
 		r.idleIntr += n.Elapsed()
 	}
-	if !r.keepItems {
+	switch {
+	case r.mode == leanMode:
 		r.freeNode(n)
+	case len(st.open) == 0:
+		r.exitRoot(st, n)
 	}
 	return true
 }
@@ -667,8 +763,12 @@ func (r *reconstructor) closeAll(st *stack, at sim.Time) {
 		}
 		r.a.Recovered++
 		r.record(top)
-		if !r.keepItems {
+		switch {
+		case r.mode == leanMode:
 			r.freeNode(top)
+		case r.mode == foldMode && len(st.open) == 0:
+			// A force-closed root never exits, so it is not folded.
+			r.release(top)
 		}
 	}
 }
@@ -692,6 +792,7 @@ func (r *reconstructor) lossBoundary() int {
 	r.closeAll(r.idleStack, at)
 	if r.current != nil {
 		r.closeAll(r.current, at)
+		r.dropTentative(r.current)
 		r.freeStack(r.current)
 		r.current = nil
 	}

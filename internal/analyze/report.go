@@ -155,7 +155,7 @@ type TraceOptions struct {
 func (a *Analysis) WriteTrace(w io.Writer, opts TraceOptions) error {
 	ew := &errWriter{w: w}
 	lines := 0
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Time < opts.From {
 			continue
 		}

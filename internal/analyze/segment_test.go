@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -269,6 +270,10 @@ func FuzzSegmentBoundary(f *testing.F) {
 		if clean.Recovered != whole.Recovered || clean.Idle != whole.Idle {
 			t.Fatalf("cut %d: clean split accounting differs", cut)
 		}
+		if got, want := clean.Profile(), whole.Profile(); !slices.Equal(got.Paths(), want.Paths()) ||
+			!slices.Equal(got.Samples(), want.Samples()) || !slices.Equal(got.Funcs(), want.Funcs()) {
+			t.Fatalf("cut %d: clean split folds a different profile", cut)
+		}
 
 		// Lossy variant: the first segment drops one strobe at its end.
 		segs := cleanSegments(c, cut)
@@ -290,12 +295,17 @@ func FuzzSegmentBoundary(f *testing.F) {
 		}
 		// Each record adds at most one trace item, the bound Stitch sizes
 		// the trace to once; every complete invocation's callees account
-		// for exactly its elapsed minus net.
-		for name, a := range map[string]*Analysis{"whole": whole, "clean": clean, "lossy": lossy} {
-			if len(a.Items) > a.Stats.Records {
-				t.Fatalf("cut %d: %s trace has %d items for %d records", cut, name, len(a.Items), a.Stats.Records)
+		// for exactly its elapsed minus net; and the profile folded while
+		// streaming is the one a walk of the trace finds. (The streamed
+		// whole capture keeps no trace to check.)
+		for name, a := range map[string]*Analysis{"clean": clean, "lossy": lossy} {
+			if len(a.Items()) > a.Stats.Records {
+				t.Fatalf("cut %d: %s trace has %d items for %d records", cut, name, len(a.Items()), a.Stats.Records)
 			}
 			if _, err := CheckConservation(a); err != nil {
+				t.Fatalf("cut %d: %s: %v", cut, name, err)
+			}
+			if _, err := CheckProfile(a); err != nil {
 				t.Fatalf("cut %d: %s: %v", cut, name, err)
 			}
 		}

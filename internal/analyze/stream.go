@@ -8,14 +8,14 @@ import (
 
 // ReconstructOptions trims what a streaming reconstruction retains and
 // selects the decode hardening. The per-function statistics, idle
-// accounting and capture-quality counters are always kept; the trace
-// timeline, the one per-event artifact, is optional.
+// accounting and capture-quality counters are always kept; the call-path
+// profile and the trace timeline are optional.
 type ReconstructOptions struct {
 	// DiscardEvents has no effect: no reconstruction keeps a decoded event
 	// list. It remains only because existing callers still set it.
 	DiscardEvents bool
-	// DiscardTrace drops the trace timeline (Analysis.Items stays empty;
-	// WriteTrace renders nothing).
+	// DiscardTrace drops the call-path profile and the trace timeline
+	// (Analysis.Items returns nil; WriteTrace renders nothing).
 	DiscardTrace bool
 	// Repair configures timestamp-monotonicity repair. The zero value is
 	// off (the historical decoder); the production pipeline
@@ -44,12 +44,22 @@ type Reconstructor struct {
 
 // NewReconstructor returns a streaming reconstructor for records captured
 // under the given clock configuration (zero values select the prototype
-// card's 1 MHz, 24 bits).
+// card's 1 MHz, 24 bits). Without DiscardTrace it folds the call-path
+// profile as it streams; it keeps no trace timeline either way, since it
+// has no records to rebuild one from.
 func NewReconstructor(cfg hw.Config, tags *tagfile.File, opts ReconstructOptions) *Reconstructor {
+	m := foldMode
+	if opts.DiscardTrace {
+		m = leanMode
+	}
+	return newReconstructor(cfg, tags, opts.Repair, m)
+}
+
+func newReconstructor(cfg hw.Config, tags *tagfile.File, repair RepairConfig, m mode) *Reconstructor {
 	a := &Analysis{fns: make(map[string]*FnStat, fnStatArenaCap)}
 	rc := &Reconstructor{
-		dec: NewRepairingDecoder(cfg, tags, opts.Repair),
-		rec: &reconstructor{a: a, idleStack: &stack{}, keepItems: !opts.DiscardTrace},
+		dec: NewRepairingDecoder(cfg, tags, repair),
+		rec: &reconstructor{a: a, idleStack: &stack{}, mode: m},
 	}
 	rc.emitFn = rc.emit
 	return rc
@@ -215,40 +225,62 @@ func (rc *Reconstructor) Finish(overflowed bool, dropped uint64) *Analysis {
 // run, in drain order, with its Dropped/Overflowed fields describing the
 // loss (if any) at its end boundary. The segments decode as one continuous
 // timeline; lossy boundaries are force-closed and reported per segment.
+// Without DiscardTrace the analysis keeps a reference to the segments'
+// records, to build its trace on first use (see Analysis.Items).
 func Stitch(segs []hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Analysis {
-	cfg := hw.Config{}
-	if len(segs) > 0 {
-		cfg = segs[0].ClockConfig()
-	}
-	rc := NewReconstructor(cfg, tags, opts)
-	n := 0
-	for _, seg := range segs {
-		n += len(seg.Records)
-	}
-	rc.reserveTrace(n)
-	for _, seg := range segs {
-		rc.PushBatch(seg.Records)
-		rc.EndSegment(seg.Dropped, seg.Overflowed)
-	}
-	return rc.Finish(false, 0)
+	// The trace pass reruns over segs later: copy the list, which a
+	// caller may reuse, though not the records.
+	segs = append([]hw.Capture(nil), segs...)
+	return reconstruct(opts, func(m mode) *Analysis {
+		cfg := hw.Config{}
+		if len(segs) > 0 {
+			cfg = segs[0].ClockConfig()
+		}
+		rc := newReconstructor(cfg, tags, opts.Repair, m)
+		n := 0
+		for _, seg := range segs {
+			n += len(seg.Records)
+		}
+		rc.reserveTrace(n)
+		for _, seg := range segs {
+			rc.PushBatch(seg.Records)
+			rc.EndSegment(seg.Dropped, seg.Overflowed)
+		}
+		return rc.Finish(false, 0)
+	})
 }
 
 // ReconstructCapture runs the streaming reconstruction over one single-
 // readout capture. Pass opts.Repair = DefaultRepair() to survive corrupted
 // stamps, or the zero options to unwrap every stamp exactly as Decode
-// does.
+// does. Without DiscardTrace the analysis keeps a reference to c's
+// records, to build its trace on first use (see Analysis.Items).
 func ReconstructCapture(c hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Analysis {
-	rc := NewReconstructor(c.ClockConfig(), tags, opts)
-	rc.reserveTrace(len(c.Records))
-	rc.PushBatch(c.Records)
-	return rc.Finish(c.Overflowed, c.Dropped)
+	return reconstruct(opts, func(m mode) *Analysis {
+		rc := newReconstructor(c.ClockConfig(), tags, opts.Repair, m)
+		rc.reserveTrace(len(c.Records))
+		rc.PushBatch(c.Records)
+		return rc.Finish(c.Overflowed, c.Dropped)
+	})
+}
+
+// reconstruct runs a batch reconstruction: lean under DiscardTrace, else
+// the fold, with a trace-keeping rerun of the same records deferred to the
+// analysis's first Items call.
+func reconstruct(opts ReconstructOptions, run func(mode) *Analysis) *Analysis {
+	if opts.DiscardTrace {
+		return run(leanMode)
+	}
+	a := run(foldMode)
+	a.trace.build = func() []TraceItem { return run(traceMode).trace.items }
+	return a
 }
 
 // reserveTrace sizes a trace-keeping reconstruction's timeline once, for
 // the n records about to be pushed: each record decodes to one event and
 // each event adds at most one trace item, so the trace never regrows.
 func (rc *Reconstructor) reserveTrace(n int) {
-	if rc.rec.keepItems {
-		rc.rec.a.Items = make([]TraceItem, 0, n)
+	if rc.rec.mode == traceMode {
+		rc.rec.a.trace.items = make([]TraceItem, 0, n)
 	}
 }

@@ -26,45 +26,15 @@ func pseudoCapture(seed uint64, n int) hw.Capture {
 	return c
 }
 
-// Pushing records one at a time must agree with the batch path
-// (ReconstructCapture, which hands the whole capture to PushBatch) on every
-// retained quantity; with nothing discarded, on the trace as well. Both
-// must unwrap exactly as Decode, the reference decoder.
-func TestStreamingMatchesBatch(t *testing.T) {
-	tags := mustTags(t)
-	for _, seed := range []uint64{1, 2, 77} {
-		c := pseudoCapture(seed, 3000)
-		events, stats := Decode(c, tags)
-		batch := ReconstructCapture(c, tags, ReconstructOptions{})
-		if batch.Stats != stats || batch.End != events[len(events)-1].Time {
-			t.Fatalf("seed %d: batch stats %+v ending at %v, Decode %+v ending at %v",
-				seed, batch.Stats, batch.End, stats, events[len(events)-1].Time)
-		}
-
-		rc := NewReconstructor(c.ClockConfig(), tags, ReconstructOptions{})
-		for _, r := range c.Records {
-			rc.Push(r)
-		}
-		stream := rc.Finish(c.Overflowed, c.Dropped)
-
-		if got, want := stream.SummaryString(0), batch.SummaryString(0); got != want {
-			t.Fatalf("seed %d: streaming summary differs\n--- streaming ---\n%s--- batch ---\n%s", seed, got, want)
-		}
-		if got, want := stream.TraceString(TraceOptions{}), batch.TraceString(TraceOptions{}); got != want {
-			t.Fatalf("seed %d: streaming trace differs", seed)
-		}
-		if stream.Stats != batch.Stats {
-			t.Fatalf("seed %d: stats %+v != %+v", seed, stream.Stats, batch.Stats)
-		}
-		if stream.Idle != batch.Idle || stream.Switches != batch.Switches ||
-			stream.OrphanExits != batch.OrphanExits || stream.Recovered != batch.Recovered {
-			t.Fatalf("seed %d: accounting differs", seed)
-		}
-	}
-}
+// PseudoCapture and MustTags hand pseudoCapture and the test tag file to
+// the external test package.
+var (
+	PseudoCapture = pseudoCapture
+	MustTags      = mustTags
+)
 
 // Discarding the trace must not change the statistics, and must actually
-// discard.
+// discard the trace and the profile.
 func TestStreamingLeanDropsBulk(t *testing.T) {
 	tags := mustTags(t)
 	c := pseudoCapture(42, 2000)
@@ -76,8 +46,11 @@ func TestStreamingLeanDropsBulk(t *testing.T) {
 	}
 	lean := rc.Finish(c.Overflowed, c.Dropped)
 
-	if len(lean.Items) != 0 {
-		t.Fatalf("lean analysis retained %d trace items", len(lean.Items))
+	if len(lean.Items()) != 0 {
+		t.Fatalf("lean analysis retained %d trace items", len(lean.Items()))
+	}
+	if p := lean.Profile(); len(p.Funcs()) != 0 || len(p.Paths()) != 0 || len(p.Samples()) != 0 {
+		t.Fatalf("lean analysis folded %d functions and %d paths", len(p.Funcs()), len(p.Paths()))
 	}
 	if got, want := lean.SummaryString(0), batch.SummaryString(0); got != want {
 		t.Fatalf("lean summary differs\n--- lean ---\n%s--- batch ---\n%s", got, want)

@@ -56,7 +56,7 @@ func (a *Analysis) Timeline(groupOf map[string]string, buckets int) *Timeline {
 		row[i] += amount
 		tl.totals[group] += amount
 	}
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		if it.Kind != TraceExit || it.Node == nil || !it.Node.Complete {
 			continue
 		}

@@ -4,19 +4,17 @@ import (
 	"runtime"
 	"testing"
 
+	"kprof/internal/analyze"
 	"kprof/internal/core"
 	"kprof/internal/kernel"
 	"kprof/internal/sim"
 	"kprof/internal/workload"
 )
 
-// TestFullAnalyzeShape pins what the full reconstruction of a drained
-// capture keeps and what it costs: the trace every report and exporter
-// reads, sized once to the record count (each record adds at most one
-// trace item), and a small fraction of an allocation per record —
-// invocation nodes come from slabs and link their callees in place. Its
-// bytes per record are a 24-byte trace item plus about half a node.
-func TestFullAnalyzeShape(t *testing.T) {
+// drainedNetrecvLong captures netrecv-long at seed 42 for d through 1024-
+// record drains.
+func drainedNetrecvLong(t *testing.T, d sim.Time) *core.Session {
+	t.Helper()
 	sc, ok := workload.FindScenario("netrecv-long")
 	if !ok {
 		t.Fatal("netrecv-long scenario missing")
@@ -27,7 +25,7 @@ func TestFullAnalyzeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Arm()
-	if _, err := sc.Run(m, workload.Params{Duration: 400 * sim.Millisecond}); err != nil {
+	if _, err := sc.Run(m, workload.Params{Duration: d}); err != nil {
 		t.Fatal(err)
 	}
 	s.Disarm()
@@ -37,30 +35,69 @@ func TestFullAnalyzeShape(t *testing.T) {
 	if n := len(s.Segments()); n < 10 {
 		t.Fatalf("capture drained %d segments, want >= 10", n)
 	}
+	return s
+}
 
-	a := s.Analyze()
-	if len(a.Items) == 0 {
-		t.Error("full analysis kept no trace")
-	}
-	records := float64(a.Stats.Records)
-	if got, want := cap(a.Items), a.Stats.Records; got != want {
-		t.Errorf("cap(Items) = %d, want the record count %d (sized once)", got, want)
-	}
-
-	const maxAllocsPerRecord, maxBytesPerRecord = 0.05, 72
-	allocs := testing.AllocsPerRun(3, func() { s.Analyze() })
-	if per := allocs / records; per > maxAllocsPerRecord {
-		t.Errorf("full Analyze allocates %.3f times per record (%.0f over %d records), want <= %.2f",
-			per, allocs, a.Stats.Records, maxAllocsPerRecord)
-	}
+// allocated reports what one call of f allocates: objects and bytes.
+func allocated(f func()) (allocs, bytes float64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s.Analyze()
+	f()
 	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc - before.TotalAlloc)
-	if per := bytes / records; per > maxBytesPerRecord {
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestFullAnalyzeShape pins what the full reconstruction of a drained
+// capture holds and what it costs. Analyze folds each root's invocation
+// tree into the call-path profile at its depth-0 exit and recycles the
+// tree's nodes, so what it allocates no longer grows with the record
+// count: four times the capture allocates well under one and a half times
+// the bytes. The trace is built on the first Items call, sized once to
+// the record count (each record adds at most one trace item); its bytes
+// per record are a 24-byte item plus about half a node.
+func TestFullAnalyzeShape(t *testing.T) {
+	short := drainedNetrecvLong(t, 400*sim.Millisecond)
+	long := drainedNetrecvLong(t, 1600*sim.Millisecond)
+
+	a := short.Analyze()
+	records := float64(a.Stats.Records)
+	const maxAllocsPerRecord, maxBytesPerRecord = 0.05, 72
+	const maxAnalyzeBytesPerRecord, maxGrowth = 16, 1.5
+	shortAllocs, shortBytes := allocated(func() { short.Analyze() })
+	_, longBytes := allocated(func() { long.Analyze() })
+	if per := shortAllocs / records; per > maxAllocsPerRecord {
+		t.Errorf("full Analyze allocates %.3f times per record (%.0f over %d records), want <= %.2f",
+			per, shortAllocs, a.Stats.Records, maxAllocsPerRecord)
+	}
+	if per := shortBytes / records; per > maxAnalyzeBytesPerRecord {
 		t.Errorf("full Analyze allocates %.1f B per record (%.0f B over %d records), want <= %d",
+			per, shortBytes, a.Stats.Records, maxAnalyzeBytesPerRecord)
+	}
+	if longBytes >= maxGrowth*shortBytes {
+		t.Errorf("Analyze of the 1600 ms capture allocates %.0f B, %.2fx the 400 ms capture's %.0f B; want < %.1fx",
+			longBytes, longBytes/shortBytes, shortBytes, maxGrowth)
+	}
+	t.Logf("Analyze: %.0f allocs and %.0f B over %d records (%.1f B per record); 4x the capture: %.2fx the bytes",
+		shortAllocs, shortBytes, a.Stats.Records, shortBytes/records, longBytes/shortBytes)
+
+	var items []analyze.TraceItem
+	allocs, bytes := allocated(func() { items = a.Items() })
+	if len(items) == 0 {
+		t.Fatal("full analysis built no trace")
+	}
+	if got, want := cap(items), a.Stats.Records; got != want {
+		t.Errorf("cap(Items) = %d, want the record count %d (sized once)", got, want)
+	}
+	if &a.Items()[0] != &items[0] {
+		t.Error("a second Items call rebuilt the trace")
+	}
+	if per := allocs / records; per > maxAllocsPerRecord {
+		t.Errorf("the first Items call allocates %.3f times per record (%.0f over %d records), want <= %.2f",
+			per, allocs, a.Stats.Records, maxAllocsPerRecord)
+	}
+	if per := bytes / records; per > maxBytesPerRecord {
+		t.Errorf("the first Items call allocates %.1f B per record (%.0f B over %d records), want <= %d",
 			per, bytes, a.Stats.Records, maxBytesPerRecord)
 	}
-	t.Logf("%d records: %.4f allocs and %.1f B per record", a.Stats.Records, allocs/records, bytes/records)
+	t.Logf("first Items call: %.4f allocs and %.1f B per record", allocs/records, bytes/records)
 }

@@ -397,7 +397,7 @@ func TestChromeTraceEvents(t *testing.T) {
 		t.Fatalf("displayTimeUnit %q", tf.DisplayTimeUnit)
 	}
 	enters, inlines := 0, 0
-	for _, it := range a.Items {
+	for _, it := range a.Items() {
 		switch it.Kind {
 		case analyze.TraceEnter:
 			enters++

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"kprof/internal/analyze"
 	"kprof/internal/core"
 	"kprof/internal/fleet"
 	"kprof/internal/kernel"
@@ -280,6 +281,93 @@ func TestLiveProfileEndpointsMatchWriters(t *testing.T) {
 	}
 	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Fatalf("/trace.json served %d bytes, WriteChromeTrace wrote %d — not identical", rec.Body.Len(), want.Len())
+	}
+}
+
+// A full analysis builds its trace on first use, exactly once, whoever
+// asks first: one published Session.Analyze result, read at once from 8
+// goroutines — /trace.json and /pprof over HTTP, Items and CallGraph in
+// process, each goroutine starting at a different one — gives every
+// caller the same bodies and the same trace slice. The -race leg of
+// scripts/check.sh runs this.
+func TestLazyTraceBuiltOnce(t *testing.T) {
+	srv := NewStatusServer()
+	a := netrecvAnalysis(t, 42, 20*sim.Millisecond)
+	srv.PublishAnalysis(a)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	type reads struct {
+		trace, pprof []byte
+		first        *analyze.TraceItem
+		graph        string
+		err          error
+	}
+	get := func(path string) ([]byte, error) {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("GET %s = %d", path, resp.StatusCode)
+		}
+		return io.ReadAll(resp.Body)
+	}
+	const clients = 8
+	got := make([]reads, clients)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		wg.Add(1)
+		go func(i int, r *reads) {
+			defer wg.Done()
+			start.Wait()
+			ops := []func() error{
+				func() (err error) { r.trace, err = get("/trace.json"); return err },
+				func() (err error) { r.pprof, err = get("/pprof"); return err },
+				func() error {
+					if items := a.Items(); len(items) > 0 {
+						r.first = &items[0]
+					}
+					return nil
+				},
+				func() error { r.graph = a.CallGraph().String(); return nil },
+			}
+			for k := range ops {
+				if err := ops[(i+k)%len(ops)](); err != nil {
+					r.err = err
+					return
+				}
+			}
+		}(i, &got[i])
+	}
+	start.Done()
+	wg.Wait()
+
+	var trace bytes.Buffer
+	if err := WriteChromeTrace(&trace, a); err != nil {
+		t.Fatal(err)
+	}
+	want := reads{
+		trace: trace.Bytes(),
+		pprof: MarshalPprof(a, PprofOptions{}),
+		first: &a.Items()[0],
+		graph: a.CallGraph().String(),
+	}
+	for i, r := range got {
+		switch {
+		case r.err != nil:
+			t.Errorf("client %d: %v", i, r.err)
+		case !bytes.Equal(r.trace, want.trace):
+			t.Errorf("client %d: /trace.json served %d bytes, WriteChromeTrace wrote %d", i, len(r.trace), len(want.trace))
+		case !bytes.Equal(r.pprof, want.pprof):
+			t.Errorf("client %d: /pprof served %d bytes, MarshalPprof %d", i, len(r.pprof), len(want.pprof))
+		case r.first != want.first:
+			t.Errorf("client %d: Items returned a different trace", i)
+		case r.graph != want.graph:
+			t.Errorf("client %d: call graph differs", i)
+		}
 	}
 }
 

@@ -89,19 +89,21 @@ func traceUS(t sim.Time) string {
 
 // WriteChromeTrace writes the analysis as a Chrome trace_event JSON file
 // (the JSON Object Format: {"traceEvents": [...]}) for Perfetto or
-// chrome://tracing. It needs a full reconstruction — the trace timeline
-// and invocation trees — so analyses from the lean streaming path render
-// only metadata and segment boundaries.
+// chrome://tracing. It reads the trace timeline and invocation trees
+// (Analysis.Items, built on first use), so an analysis without a trace —
+// lean, or finished through a streaming Reconstructor — renders only
+// metadata and segment boundaries.
 func WriteChromeTrace(w io.Writer, a *analyze.Analysis) error {
 	bw := bufio.NewWriter(w)
+	items := a.Items()
 
 	// Pass 1: assign every item a context block and unify blocks joined
 	// by a frame's entry/exit pair.
 	blocks := &blockSet{}
 	cur := blocks.add(false) // the initial context, before any switch
-	itemBlock := make([]int, len(a.Items))
+	itemBlock := make([]int, len(items))
 	enterBlock := map[*analyze.Node]int{}
-	for i, it := range a.Items {
+	for i, it := range items {
 		switch it.Kind {
 		case analyze.TraceSwitchOut:
 			cur = blocks.add(true)
@@ -157,7 +159,7 @@ func WriteChromeTrace(w io.Writer, a *analyze.Analysis) error {
 
 	// Thread-name metadata: collect the tids actually used, in order.
 	usedIdle := false
-	for i, it := range a.Items {
+	for i, it := range items {
 		if it.Kind == analyze.TraceEnter || it.Kind == analyze.TraceInline {
 			if tidOf(itemBlock[i]) == idleTID {
 				usedIdle = true
@@ -172,7 +174,7 @@ func WriteChromeTrace(w io.Writer, a *analyze.Analysis) error {
 		meta("thread_name", "context "+strconv.FormatInt(tid, 10), tid)
 	}
 
-	for i, it := range a.Items {
+	for i, it := range items {
 		switch it.Kind {
 		case analyze.TraceEnter:
 			n := it.Node

@@ -77,7 +77,7 @@ func TestGoldenProdayDrain(t *testing.T) {
 	if fc := forceClosed(a); fc != 0 {
 		t.Fatalf("%d frames force-closed on a lossless run", fc)
 	}
-	conserved(t, a)
+	checkTrees(t, a)
 	// The histogram counts every complete invocation, including those
 	// under roots that never exit (still open at capture end or parked in
 	// a suspended stack) — exactly the summary's timed calls.

@@ -70,10 +70,11 @@ echo "== serving tier: multi-client concurrency battery =="
 # The SSE hub, ETag cache and time-series ring serve many clients off the
 # capture path; their battery (100-subscriber churn, slow-client
 # eviction, cache coherence under mutation, the multi-client live-session
-# hammer) must hold under the race detector.
+# hammer, and a published analysis building its trace once under
+# concurrent first use) must hold under the race detector.
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestSSE|TestHub|TestETag|TestSubscribe|TestServing|TestCacheCoherence|TestTimeseries' \
+		-run 'TestSSE|TestHub|TestETag|TestSubscribe|TestServing|TestCacheCoherence|TestTimeseries|TestLazyTrace' \
 		./internal/export/
 fi
 
