@@ -36,7 +36,7 @@
 // windowed cross-fleet aggregate:
 //
 //	kprof -fleet 6 -fleetmix netrecv=2,proday=1 -duration 200ms -window 50ms
-//	kprof -fleet 4 -fleetworkers 2 -fleetjson fleet.json -http :6060
+//	kprof -fleet 4 -fleetjson fleet.json -http :6060
 //
 // The profile-guided loop closes the paper's "before and after" cycle:
 // -budget solves which functions the next profile should instrument, and
@@ -112,7 +112,6 @@ func main() {
 		benchTol   = flag.Float64("benchtol", 0, "regression tolerance percentage for -benchcmp (0 = 15)")
 		fleetN     = flag.Int("fleet", 0, "fleet mode: run this many machines under continuous capture through one ingest pipeline")
 		fleetMix   = flag.String("fleetmix", "netrecv", "scenario mix for -fleet, e.g. netrecv=2,proday=1 (weights cycle across machines)")
-		fleetWrk   = flag.Int("fleetworkers", 0, "projection workers for -fleet (0 = GOMAXPROCS; the report bytes do not depend on it)")
 		window     = flag.Duration("window", 100*time.Millisecond, "fleet aggregation window in virtual time (needs -fleet)")
 		fleetJSON  = flag.String("fleetjson", "", "write the fleet report as JSON (schema kprof-fleet/1) to this file (- for stdout; needs -fleet)")
 		pgoRun     = flag.Bool("pgo", false, "profile-guided optimize-verify loop: profile the scenario, apply each proposed kernel change, re-profile under the identical seed, and verify the measured delta against the what-if estimate (with -seeds, prints the sweep-level verification table)")
@@ -244,7 +243,7 @@ func main() {
 			onProgress = status.OnFleetProgress
 			onWindow = status.OnFleetWindow
 		}
-		if err := runFleet(*fleetN, *fleetMix, *fleetWrk, *seed, params,
+		if err := runFleet(*fleetN, *fleetMix, *seed, params,
 			sim.Time(window.Nanoseconds()), *top, *fleetJSON, onProgress, onWindow); err != nil {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
@@ -365,7 +364,7 @@ func main() {
 // runFleet builds the fleet from the mix spec, runs it through the ingest
 // pipeline, and prints the windowed report (plus the JSON document when
 // requested).
-func runFleet(n int, mixSpec string, workers int, seed uint64, params workload.Params, window sim.Time, top int, jsonPath string, onProgress func(fleet.Progress), onWindow func(fleet.WindowSummary)) error {
+func runFleet(n int, mixSpec string, seed uint64, params workload.Params, window sim.Time, top int, jsonPath string, onProgress func(fleet.Progress), onWindow func(fleet.WindowSummary)) error {
 	machines, err := fleet.MachinesFromMix(n, mixSpec, seed, params)
 	if err != nil {
 		return err
@@ -373,7 +372,6 @@ func runFleet(n int, mixSpec string, workers int, seed uint64, params workload.P
 	res, err := fleet.Run(fleet.Config{
 		Machines:   machines,
 		Window:     window,
-		Workers:    workers,
 		OnProgress: onProgress,
 		OnWindow:   onWindow,
 	})

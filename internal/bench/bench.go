@@ -377,7 +377,6 @@ func Run(cfg Config) (*Report, error) {
 		res, err := fleet.RunSources(fleet.Config{
 			Machines: fleetMachines,
 			Window:   50 * sim.Millisecond,
-			Workers:  2,
 		}, fleetSources)
 		if err != nil {
 			panic(err)

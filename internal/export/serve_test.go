@@ -174,7 +174,7 @@ func TestSSEFanoutChurn(t *testing.T) {
 // fleetTimeseries runs a seeded fleet with the serving hooks attached
 // and `subs` SSE clients watching, and returns the final
 // /timeseries.json bytes.
-func fleetTimeseries(t *testing.T, machines []fleet.MachineConfig, staging, workers, subs int) []byte {
+func fleetTimeseries(t *testing.T, machines []fleet.MachineConfig, staging, subs int) []byte {
 	t.Helper()
 	srv := NewStatusServer()
 	hs := httptest.NewServer(srv.Handler())
@@ -191,7 +191,6 @@ func fleetTimeseries(t *testing.T, machines []fleet.MachineConfig, staging, work
 		Machines:   machines,
 		Window:     20 * sim.Millisecond,
 		Staging:    staging,
-		Workers:    workers,
 		OnProgress: srv.OnFleetProgress,
 		OnWindow:   srv.OnFleetWindow,
 	}); err != nil {
@@ -208,12 +207,12 @@ func TestTimeseriesDeterministicAcrossSubscribers(t *testing.T) {
 	one := []fleet.MachineConfig{
 		{ID: 0, Seed: 777, Scenario: "netrecv", Params: workload.Params{Duration: 60 * sim.Millisecond}, Depth: 512},
 	}
-	base := fleetTimeseries(t, one, 1, 1, 0)
+	base := fleetTimeseries(t, one, 1, 0)
 	if !bytes.Contains(base, []byte(`"seq"`)) {
 		t.Fatalf("fixture fleet produced an empty timeseries:\n%s", base)
 	}
 	for _, subs := range []int{3, 25} {
-		if got := fleetTimeseries(t, one, 1, 1, subs); !bytes.Equal(got, base) {
+		if got := fleetTimeseries(t, one, 1, subs); !bytes.Equal(got, base) {
 			t.Errorf("timeseries bytes differ with %d subscribers:\n%s\nwant:\n%s", subs, got, base)
 		}
 	}
@@ -221,7 +220,7 @@ func TestTimeseriesDeterministicAcrossSubscribers(t *testing.T) {
 
 // The determinism contract, general form: window close order is fixed
 // for any fleet (a PR-8 guarantee), so the windows ring is identical for
-// any worker count and subscriber load, even when the load series
+// any staging bound and subscriber load, even when the load series
 // interleaving varies.
 func TestTimeseriesWindowsDeterministicMultiMachine(t *testing.T) {
 	machines := []fleet.MachineConfig{
@@ -243,9 +242,9 @@ func TestTimeseriesWindowsDeterministicMultiMachine(t *testing.T) {
 		}
 		return b.String()
 	}
-	base := windowsOf(fleetTimeseries(t, machines, 0, 1, 0))
-	if got := windowsOf(fleetTimeseries(t, machines, 0, 4, 8)); got != base {
-		t.Errorf("windows ring differs with 4 workers and 8 subscribers:\n%s\nwant:\n%s", got, base)
+	base := windowsOf(fleetTimeseries(t, machines, 0, 0))
+	if got := windowsOf(fleetTimeseries(t, machines, 2, 8)); got != base {
+		t.Errorf("windows ring differs with staging 2 and 8 subscribers:\n%s\nwant:\n%s", got, base)
 	}
 }
 

@@ -7,17 +7,18 @@
 // (card RAM depth, counter clock rate, workload scenario) each run
 // continuous drain capture, and every finished segment streams to a
 // central ingest service the moment it drains. The ingest side follows
-// the ingestor → staging store → projection-worker pattern:
+// the ingestor → staging store → projection pattern:
 //
 //   - a per-machine ingest worker decodes its machine's segment stream
 //     through a dedicated streaming Reconstructor and condenses each
 //     segment into an integer-delta Sample, appended to the staging
 //     store (Append blocks when the store is full — backpressure reaches
 //     all the way back to the machine's drain loop);
-//   - projection workers consume staged samples in strict per-machine
-//     order, committing each one atomically: advance the machine's
-//     checkpoint, fold the sample into its time window, recompute the
-//     fleet watermark, and close every window the watermark has passed;
+//   - one projection loop, run by the store itself, consumes staged
+//     samples in strict per-machine order, committing each one
+//     atomically: advance the machine's checkpoint, fold the sample into
+//     its time window, recompute the fleet watermark, and close every
+//     window the watermark has passed;
 //   - cross-fleet aggregation is incremental and windowed: each closed
 //     window folds its machines' sums into a sweep.Aggregate (machines in
 //     ID order) and merges into the running fleet cumulative
@@ -27,12 +28,12 @@
 // Every float fold order is fixed — segments per machine in sequence
 // order, machines within a window in ID order, windows into the
 // cumulative in index order — so the fleet report is byte-identical for
-// any projection-worker count and any ingest interleaving. The staging
-// store holds the whole durable state (staged samples, checkpoints,
-// window sums, the cumulative); a projector that dies mid-run is
-// restarted over the same store and resumes from the checkpoints without
-// reprocessing a single committed segment. See DESIGN.md ("Fleet mode")
-// for the invariant list the tests assert.
+// any staging bound and any ingest interleaving. The staging store holds
+// the whole durable state (staged samples, checkpoints, window sums, the
+// cumulative); a projection loop stopped mid-run is started again over
+// the same store and resumes from the checkpoints without reprocessing a
+// single committed segment. See DESIGN.md ("Fleet mode") for the
+// invariant list the tests assert.
 package fleet
 
 import (
@@ -90,9 +91,6 @@ type Config struct {
 	// Window is the aggregation window width in virtual time; 0 means
 	// DefaultWindow. Samples are assigned to windows by drain time.
 	Window sim.Time
-	// Workers is the projection-worker count; 0 means GOMAXPROCS. The
-	// report bytes do not depend on it.
-	Workers int
 	// Staging bounds the staging store in samples; 0 means
 	// DefaultStaging. Appends block when the store is full.
 	Staging int
@@ -181,8 +179,9 @@ func Run(cfg Config) (*Result, error) {
 
 // RunSources executes a fleet run over explicit sources — live machines,
 // or pre-captured ReplaySources (the benchmark and the differential
-// tests replay identical streams under different worker counts and
-// staging bounds).
+// tests replay identical streams under different staging bounds). The
+// projection loop runs on the calling goroutine; RunSources returns once
+// it and every ingest worker have finished.
 func RunSources(cfg Config, sources []Source) (*Result, error) {
 	ids := make([]int, len(sources))
 	for i, src := range sources {
@@ -193,10 +192,8 @@ func RunSources(cfg Config, sources []Source) (*Result, error) {
 		return nil, err
 	}
 	ing := StartIngest(st, sources)
-	proj := NewProjector(st, cfg.Workers)
-	proj.Start()
+	projErr := st.project(-1)
 	ingErr := ing.Wait()
-	projErr := proj.Wait()
 	if ingErr != nil {
 		return nil, ingErr
 	}
@@ -261,8 +258,8 @@ type Result struct {
 
 // Write renders the fleet report: the run header, the window table, and
 // the cumulative aggregate (top functions; 0 = all). The bytes depend
-// only on the committed samples and the window width — not on worker
-// count, staging bound, or ingest interleaving.
+// only on the committed samples and the window width — not on the staging
+// bound or ingest interleaving.
 func (r *Result) Write(w io.Writer, top int) error {
 	ew := &errWriter{w: w}
 	fmt.Fprintf(ew, "Fleet of %d machines: %d segments ingested (%d records, %d dropped strobes), watermark %d us\n",
@@ -345,7 +342,7 @@ type jsonReport struct {
 
 // WriteJSON writes the machine-readable fleet report (schema
 // "kprof-fleet/1", documented in DESIGN.md). Like Write, the bytes are
-// independent of worker count and ingest interleaving.
+// independent of the staging bound and ingest interleaving.
 func (r *Result) WriteJSON(w io.Writer) error {
 	g := r.Agg
 	doc := jsonReport{

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kprof/internal/analyze"
 	"kprof/internal/sim"
@@ -66,47 +69,42 @@ func render(t *testing.T, r *Result) string {
 	return b.String()
 }
 
-func runReplay(t *testing.T, workers, staging int) *Result {
+func runReplay(t *testing.T, staging int) *Result {
 	t.Helper()
 	res, err := RunSources(Config{
 		Machines: fixtureMachines,
 		Window:   testWindow,
-		Workers:  workers,
 		Staging:  staging,
 	}, fixture(t))
 	if err != nil {
-		t.Fatalf("RunSources(workers=%d, staging=%d): %v", workers, staging, err)
+		t.Fatalf("RunSources(staging=%d): %v", staging, err)
 	}
 	return res
 }
 
 // TestFleetDeterminism is the tentpole acceptance check: the fleet report
-// must be byte-identical for any projection-worker count and any ingest
-// interleaving (staging bound changes which appends block, reshuffling
-// the commit schedule).
+// must be byte-identical for any ingest interleaving (the staging bound
+// changes which appends block, reshuffling the commit schedule).
 func TestFleetDeterminism(t *testing.T) {
-	base := runReplay(t, 1, 64)
+	base := runReplay(t, 64)
 	if base.Segments == 0 || base.Records == 0 || len(base.Windows) < 2 {
 		t.Fatalf("fixture fleet too small to exercise windowing: %d segments, %d records, %d windows",
 			base.Segments, base.Records, len(base.Windows))
 	}
 	baseBytes := render(t, base)
-	for _, workers := range []int{1, 2, 4} {
-		for _, staging := range []int{2, 8, 64} {
-			got := render(t, runReplay(t, workers, staging))
-			if got != baseBytes {
-				t.Errorf("report bytes differ at workers=%d staging=%d (want the workers=1 staging=64 bytes)", workers, staging)
-			}
+	for _, staging := range []int{1, 2, 8} {
+		if got := render(t, runReplay(t, staging)); got != baseBytes {
+			t.Errorf("report bytes differ at staging=%d (want the staging=64 bytes)", staging)
 		}
 	}
 }
 
-// TestFleetRestart is the checkpoint differential: kill the projector
-// after k commits, restart a fresh one over the same store, and require
-// the final report byte-identical to an uninterrupted run — with every
-// segment committed exactly once.
+// TestFleetRestart is the checkpoint differential: stop the projection
+// loop after k commits, start a second loop over the same store, and
+// require the final report byte-identical to an uninterrupted run — with
+// every segment committed exactly once.
 func TestFleetRestart(t *testing.T) {
-	base := runReplay(t, 2, 64)
+	base := runReplay(t, 64)
 	baseBytes := render(t, base)
 	total := base.Segments
 	if total < 4 {
@@ -118,22 +116,19 @@ func TestFleetRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		ing := StartIngest(st, fixture(t))
-		p1 := NewProjector(st, 2)
-		p1.SetKillAfter(k)
-		p1.Start()
-		if err := p1.Wait(); err != ErrKilled {
-			t.Fatalf("kill after %d: projector Wait = %v, want ErrKilled", k, err)
+		if err := st.project(k); !errors.Is(err, ErrKilled) {
+			t.Fatalf("kill after %d: project = %v, want ErrKilled", k, err)
 		}
 		if got := st.Progress().SegmentsCommitted; got != k {
 			t.Fatalf("kill after %d: %d segments committed at kill", k, got)
 		}
-		p2 := NewProjector(st, 3)
-		p2.Start()
+		restarted := make(chan error, 1)
+		go func() { restarted <- st.project(-1) }()
 		if err := ing.Wait(); err != nil {
 			t.Fatalf("kill after %d: ingest: %v", k, err)
 		}
-		if err := p2.Wait(); err != nil {
-			t.Fatalf("kill after %d: restarted projector: %v", k, err)
+		if err := <-restarted; err != nil {
+			t.Fatalf("kill after %d: restarted projection: %v", k, err)
 		}
 		prog := st.Progress()
 		if prog.SegmentsCommitted != total || prog.SegmentsStaged != total {
@@ -155,7 +150,6 @@ func TestFleetWatermark(t *testing.T) {
 	_, err := RunSources(Config{
 		Machines: fixtureMachines,
 		Window:   testWindow,
-		Workers:  2,
 		Staging:  staging,
 		// Serialized under the store lock, so the plain append is safe.
 		OnProgress: func(p Progress) { trace = append(trace, p) },
@@ -192,12 +186,12 @@ func TestFleetWatermark(t *testing.T) {
 // are the same pipeline: a live fleet run renders the same bytes as
 // replaying the recorded streams of identically configured machines.
 func TestFleetLiveMatchesReplay(t *testing.T) {
-	cfg := Config{Machines: fixtureMachines, Window: testWindow, Workers: 2}
+	cfg := Config{Machines: fixtureMachines, Window: testWindow}
 	live, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := runReplay(t, 2, 64)
+	replay := runReplay(t, 64)
 	if render(t, live) != render(t, replay) {
 		t.Error("live fleet run and replayed fleet run render different bytes")
 	}
@@ -211,7 +205,6 @@ func TestFleetSamplesSumToReconstruction(t *testing.T) {
 	res, err := RunSources(Config{
 		Machines: fixtureMachines[:1],
 		Window:   60 * sim.Second, // one window: the whole stream
-		Workers:  2,
 	}, []Source{rs})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +296,7 @@ func TestMachinesFromMix(t *testing.T) {
 // TestFleetReportShape sanity-checks the rendered report so doc examples
 // stay truthful.
 func TestFleetReportShape(t *testing.T) {
-	res := runReplay(t, 2, 64)
+	res := runReplay(t, 64)
 	text := res.String()
 	for _, want := range []string{"Fleet of 3 machines", "windows of 20000 us", "Sweep of fleet across"} {
 		if !strings.Contains(text, want) {
@@ -323,32 +316,69 @@ func TestFleetReportShape(t *testing.T) {
 
 // TestFleetOnWindowHook: the window-close hook sees every summary the
 // final report lists, in close order — which is ascending index order,
-// whatever the worker count — and each summary equals its Result.Windows
+// whatever the staging bound — and each summary equals its Result.Windows
 // entry field for field (the serving tier's time-series ring depends on
 // both properties).
 func TestFleetOnWindowHook(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, staging := range []int{1, 64} {
 		var hooked []WindowSummary
 		res, err := RunSources(Config{
 			Machines: fixtureMachines,
 			Window:   testWindow,
-			Workers:  workers,
+			Staging:  staging,
 			OnWindow: func(ws WindowSummary) { hooked = append(hooked, ws) },
 		}, fixture(t))
 		if err != nil {
-			t.Fatalf("RunSources(workers=%d): %v", workers, err)
+			t.Fatalf("RunSources(staging=%d): %v", staging, err)
 		}
 		if len(hooked) != len(res.Windows) {
-			t.Fatalf("workers=%d: hook fired %d times, result has %d windows", workers, len(hooked), len(res.Windows))
+			t.Fatalf("staging=%d: hook fired %d times, result has %d windows", staging, len(hooked), len(res.Windows))
 		}
 		for i, ws := range hooked {
 			if i > 0 && ws.Index <= hooked[i-1].Index {
-				t.Fatalf("workers=%d: window %d closed out of order: index %d after %d",
-					workers, i, ws.Index, hooked[i-1].Index)
+				t.Fatalf("staging=%d: window %d closed out of order: index %d after %d",
+					staging, i, ws.Index, hooked[i-1].Index)
 			}
 			if !reflect.DeepEqual(ws, res.Windows[i]) {
-				t.Fatalf("workers=%d: hooked window %d is %+v, result lists %+v", workers, i, ws, res.Windows[i])
+				t.Fatalf("staging=%d: hooked window %d is %+v, result lists %+v", staging, i, ws, res.Windows[i])
 			}
 		}
+	}
+}
+
+// TestFleetJoinsGoroutines: a fleet run returns only once every goroutine
+// it started has exited — replays at two staging bounds, a projection
+// loop stopped and started again, and a live netrecv machine (a scenario
+// that leaves no parked simulated process behind). The fixture is
+// recorded before the count starts, so its live recording stays outside
+// it.
+func TestFleetJoinsGoroutines(t *testing.T) {
+	srcs := fixture(t)
+	start := runtime.NumGoroutine()
+	runReplay(t, 64)
+	runReplay(t, 1)
+	st, err := NewStore(testWindow, 4, []int{0, 1, 2}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing := StartIngest(st, srcs)
+	if err := st.project(3); !errors.Is(err, ErrKilled) {
+		t.Fatalf("project(3) = %v, want ErrKilled", err)
+	}
+	if err := st.project(-1); err != nil {
+		t.Fatalf("restarted projection: %v", err)
+	}
+	if err := ing.Wait(); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	if _, err := Run(Config{Machines: fixtureMachines[:1], Window: testWindow}); err != nil {
+		t.Fatalf("live run: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the fleet runs, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

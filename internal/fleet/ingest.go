@@ -16,7 +16,7 @@ type FnDelta struct {
 }
 
 // Sample is one drained segment condensed into integer deltas — the unit
-// the staging store holds and the projection workers commit. Because
+// the staging store holds and the projection loop commits. Because
 // every field is an exact difference of cumulative integer counters, the
 // samples of one machine sum to its full-stream reconstruction totals bit
 // for bit, in any grouping: windowing never changes the fleet's sums.
@@ -140,8 +140,8 @@ type Ingest struct {
 // condenses every segment into a Sample, and appends it to the store —
 // blocking when the store is full, which is the backpressure path back
 // into the machine's drain loop for live sources. A worker that fails
-// marks the store failed so projection workers and sibling appends do not
-// wait forever.
+// marks the store failed so the projection loop and sibling appends do
+// not wait forever.
 func StartIngest(st *Store, sources []Source) *Ingest {
 	ing := &Ingest{}
 	for _, src := range sources {

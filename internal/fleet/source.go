@@ -120,8 +120,8 @@ func (ls *LiveSource) Run(emit func(RawSegment) error) error {
 // ReplaySource replays a pre-captured segment stream. Replays are
 // reusable (Run may be called repeatedly after one Open) and cheap, which
 // is what the determinism tests and the ingest benchmark need: the same
-// byte-for-byte stream fed through different worker counts, staging
-// bounds and kill points.
+// byte-for-byte stream fed through different staging bounds and kill
+// points.
 type ReplaySource struct {
 	// Machine is the machine ID the stream claims.
 	Machine int

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -44,9 +45,8 @@ type machineState struct {
 	pos  sim.Time
 	// done marks the stream ended; complete marks done AND fully
 	// committed (the machine no longer holds the watermark back).
-	done      bool
-	complete  bool
-	committed int
+	done     bool
+	complete bool
 }
 
 // machineWindow is one machine's integer sums within one open window.
@@ -68,8 +68,8 @@ type windowState struct {
 
 // Store is the staging store and the whole durable state of a fleet run:
 // staged samples, per-machine checkpoints, open-window sums, the closed-
-// window list and the cumulative aggregate. Projectors hold no state of
-// their own beyond in-flight claims, so killing one and starting another
+// window list and the cumulative aggregate. The projection loop (project)
+// holds no state of its own, so a loop stopped mid-run and started again
 // over the same Store resumes exactly at the checkpoints.
 //
 // Commit order per machine is sequence order, enforced by panic — a
@@ -77,7 +77,7 @@ type windowState struct {
 // checkpoint is a bug, not a recoverable condition. Windows close in
 // ascending index order and machines fold within a window in ascending ID
 // order, both under the store lock, which is what makes the report bytes
-// independent of worker count and ingest interleaving.
+// independent of the staging bound and ingest interleaving.
 type Store struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -188,7 +188,7 @@ func (st *Store) MachineDone(id int) {
 }
 
 // Fail marks the run failed and wakes every waiter (blocked appends and
-// idle projection workers).
+// the idle projection loop).
 func (st *Store) Fail(err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -198,29 +198,54 @@ func (st *Store) Fail(err error) {
 	st.cond.Broadcast()
 }
 
-// Err returns the store's failure, if any.
-func (st *Store) Err() error {
+// ErrKilled reports a projection loop that stopped at its commit limit
+// before the store drained — the simulated crash of the restart test.
+var ErrKilled = errors.New("fleet: projection stopped before the store drained")
+
+// project is the fleet's one projection loop. It waits for a staged
+// sample, picks the machine with the smallest checkpoint position (ties
+// by ID) — the machine most likely to be holding the watermark back — and
+// commits that machine's queue head. The pick affects only scheduling:
+// report bytes are fixed by the commit fold orders. project returns nil
+// once every machine is complete, the store's failure error if the run
+// fails, and ErrKilled after limit commits (limit < 0: no limit), leaving
+// the store exactly as those commits left it.
+func (st *Store) project(limit int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.failed
+	for commits := 0; ; {
+		switch {
+		case st.failed != nil:
+			return st.failed
+		case st.allCompleteLocked():
+			return nil
+		case commits == limit:
+			return ErrKilled
+		}
+		var best *machineState
+		for _, id := range st.order {
+			ms := st.machines[id]
+			if len(ms.queue) > 0 && (best == nil || ms.pos < best.pos) {
+				best = ms
+			}
+		}
+		if best == nil {
+			st.cond.Wait()
+			continue
+		}
+		st.commitLocked(best)
+		commits++
+	}
 }
 
-// Commit applies one claimed sample atomically: pop it from its machine's
-// queue, advance the machine's checkpoint, fold the integer sums into the
-// sample's window, recompute the fleet watermark, and close every window
-// the watermark has passed — all under one critical section, so no
-// observer ever sees a sample half-applied. The sequence and position
-// asserts are the never-reprocess / never-regress invariants.
-func (st *Store) Commit(s *Sample) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.failed != nil {
-		return
-	}
-	ms := st.machines[s.Machine]
-	if ms == nil || len(ms.queue) == 0 || ms.queue[0] != s {
-		panic(fmt.Sprintf("fleet: machine %d: commit of unclaimed or out-of-order sample", s.Machine))
-	}
+// commitLocked applies the head of ms's queue atomically: pop it, advance
+// the machine's checkpoint, fold the integer sums into the sample's
+// window, recompute the fleet watermark, and close every window the
+// watermark has passed — all under one critical section, so no observer
+// ever sees a sample half-applied. The sequence and position asserts are
+// the never-reprocess / never-regress invariants.
+func (st *Store) commitLocked(ms *machineState) {
+	s := ms.queue[0]
 	if s.Seq != ms.next {
 		panic(fmt.Sprintf("fleet: machine %d: commit seq %d, checkpoint expects %d (reprocess or skip)", s.Machine, s.Seq, ms.next))
 	}
@@ -231,7 +256,6 @@ func (st *Store) Commit(s *Sample) {
 	st.backlog--
 	ms.next++
 	ms.pos = s.DrainedAt
-	ms.committed++
 	ms.complete = ms.done && len(ms.queue) == 0
 	st.totalCommitted++
 	st.recordsCommitted += s.Records
@@ -435,7 +459,7 @@ func (st *Store) Progress() Progress {
 }
 
 // Result assembles the finished report. Call it only after ingest and
-// projection have drained the store (Projector.Wait returned nil).
+// projection have drained the store (project returned nil).
 func (st *Store) Result() *Result {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -217,16 +217,6 @@ func (p *Profiler) store(r Record) {
 	}
 }
 
-// Scan visits the stored records oldest first, in place — no copy of the
-// bank list is made. Streaming decode paths (the sweep engine's workers)
-// use it so a worker never holds a second copy of the 16384-entry RAM
-// while building its report.
-func (p *Profiler) Scan(fn func(Record)) {
-	for _, r := range p.ram {
-		fn(r)
-	}
-}
-
 // Records returns the stored records oldest first as a direct view of the
 // card RAM — no copy. The view is only valid until the next Latch or Reset;
 // batch decode paths read it straight into the reconstructor and drop it.

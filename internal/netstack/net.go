@@ -156,9 +156,6 @@ func (n *Net) Device() *WE { return n.we }
 // SetOutputDevice routes ip_output through d (the embedded machine's LE).
 func (n *Net) SetOutputDevice(d NetDevice) { n.outDev = d }
 
-// OutputDevice reports the interface ip_output routes through.
-func (n *Net) OutputDevice() NetDevice { return n.outDev }
-
 // Scheduler exposes the kernel's event scheduler for remote-host models.
 func (n *Net) Scheduler() *sim.Scheduler { return n.k.Scheduler() }
 

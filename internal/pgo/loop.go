@@ -3,6 +3,7 @@ package pgo
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -340,8 +341,8 @@ type LoopSweep struct {
 
 // RunLoopSweep verifies every change across seeds: each seed runs the
 // full optimize-verify loop on its own machine (parallel workers, 0 =
-// serial), and the verdicts fold in seed order so the result is
-// identical whatever the worker count.
+// GOMAXPROCS, never more than one per seed), and the verdicts fold in
+// seed order so the result is identical whatever the worker count.
 func RunLoopSweep(cfg LoopConfig, seeds []uint64, parallel int) (*LoopSweep, error) {
 	cfg.defaults()
 	if len(seeds) == 0 {
@@ -351,7 +352,7 @@ func RunLoopSweep(cfg LoopConfig, seeds []uint64, parallel int) (*LoopSweep, err
 	errs := make([]error, len(seeds))
 	workers := parallel
 	if workers <= 0 {
-		workers = 1
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(seeds) {
 		workers = len(seeds)

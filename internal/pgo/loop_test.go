@@ -147,12 +147,14 @@ func TestRunLoopSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunLoopSweep(cfg, seeds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != par.String() {
-		t.Fatalf("worker count changed the sweep:\nserial:\n%s\nparallel:\n%s", serial.String(), par.String())
+	for _, parallel := range []int{3, 0} {
+		par, err := RunLoopSweep(cfg, seeds, parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.String() != par.String() {
+			t.Fatalf("parallel %d changed the sweep:\nserial:\n%s\nparallel:\n%s", parallel, serial.String(), par.String())
+		}
 	}
 	if len(serial.PerSeed) != 3 || len(serial.Outcomes) != len(Registry()) {
 		t.Fatalf("sweep shape: %+v", serial)

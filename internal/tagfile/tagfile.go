@@ -330,10 +330,6 @@ func (f *File) ResolveIndex(tag uint16) (int32, EventKind) {
 	return s.idx, EventKind(s.kind)
 }
 
-// EntryAt returns the entry at a ResolveIndex result. It panics on a
-// negative (UnknownTag) index.
-func (f *File) EntryAt(i int32) Entry { return f.entries[i] }
-
 // ResolveRecord classifies a raw tag and returns its entry index, kind,
 // name and context-switch flag in one dense-table load. It is what the
 // record decoder uses: everything an event needs without copying the Entry.

@@ -166,9 +166,6 @@ func (v *VM) pmapEnter() {
 	})
 }
 
-// PmapEnter installs one page mapping.
-func (v *VM) PmapEnter() { v.pmapEnter() }
-
 // PmapRemove tears down the mappings of an entry: a fixed sweep plus
 // per-resident-page PTE work. Large entries are where Figure 5's 14 ms
 // maximum comes from.

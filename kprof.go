@@ -472,15 +472,15 @@ var (
 
 // Fleet mode: many machines, one ingest pipeline. N heterogeneous
 // simulated machines run continuous drain capture concurrently and stream
-// every finished segment into a central staging store; projection workers
-// commit them with atomic per-machine checkpoints under a monotonic fleet
-// watermark, folding an incremental windowed cross-fleet aggregate (see
-// internal/fleet and the DESIGN.md fleet section).
+// every finished segment into a central staging store; one projection
+// loop commits them with atomic per-machine checkpoints under a monotonic
+// fleet watermark, folding an incremental windowed cross-fleet aggregate
+// (see internal/fleet and the DESIGN.md fleet section).
 type (
 	// FleetMachine describes one fleet machine: seed, scenario, card build.
 	FleetMachine = fleet.MachineConfig
-	// FleetConfig describes a fleet run (machines, window, workers,
-	// staging bound, progress hook).
+	// FleetConfig describes a fleet run (machines, window, staging bound,
+	// progress and window hooks).
 	FleetConfig = fleet.Config
 	// FleetResult is a finished fleet run: the closed windows and the
 	// cumulative aggregate, rendered by Write/WriteJSON.
@@ -495,7 +495,7 @@ type (
 	// FleetSource is one machine's segment stream (live or replayed).
 	FleetSource = fleet.Source
 	// FleetReplaySource replays a pre-captured segment stream — the same
-	// bytes under any worker count, for determinism tests and benchmarks.
+	// bytes under any staging bound, for determinism tests and benchmarks.
 	FleetReplaySource = fleet.ReplaySource
 )
 

@@ -49,15 +49,16 @@ if [ "${SKIP_RACE:-0}" != "1" ]; then
 		./internal/core/ ./internal/bench/
 fi
 
-echo "== fleet determinism + restart (GOMAXPROCS 1/2/4) =="
-# The fleet report must be byte-identical for any projection-worker count
-# and ingest interleaving, and a killed-and-restarted projector must
-# resume from the checkpoints to the same bytes. Run the differentials
+echo "== fleet determinism + restart + join (GOMAXPROCS 1/2/4) =="
+# The fleet report must be byte-identical for any staging bound and
+# ingest interleaving, a projection loop stopped and started again must
+# resume from the checkpoints to the same bytes, and a fleet run must
+# join every goroutine it starts. Run the differentials and the join test
 # under one, two and four procs, and under the race detector (unless
-# skipped) to cover the staging/projection concurrency itself.
+# skipped) to cover the ingest/projection concurrency itself.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=1 \
-		-run 'TestFleetDeterminism|TestFleetRestart' \
+		-run 'TestFleetDeterminism|TestFleetRestart|TestFleetJoinsGoroutines' \
 		./internal/fleet/
 done
 if [ "${SKIP_RACE:-0}" != "1" ]; then
@@ -84,8 +85,8 @@ echo "== optimize-verify loop =="
 # estimate and lands within the declared tolerance, the differential
 # report reproduces byte for byte, and the budget optimizer stays exact
 # against brute force. The loop-sweep determinism test additionally runs
-# the whole loop across seeds on 1 and 3 workers and demands identical
-# bytes.
+# the whole loop across seeds on 1 and 3 workers and on GOMAXPROCS
+# (parallel 0), and demands identical bytes.
 go test -count=1 \
 	-run 'TestRunLoopVerifiesRegistry|TestRunLoopSweepDeterministicAcrossWorkers|TestOptimizeMatchesBruteForce' \
 	./internal/pgo/

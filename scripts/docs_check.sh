@@ -1,9 +1,11 @@
 #!/bin/sh
 # docs_check.sh — keep the prose honest:
 #   1. every relative link in the repo's markdown files must resolve to an
-#      existing file, and
+#      existing file,
 #   2. every kprof CLI flag defined in cmd/kprof/main.go must be mentioned
-#      in README.md (so new flags cannot ship undocumented).
+#      in README.md (so new flags cannot ship undocumented), and
+#   3. every flag a README flag-table row names in its first cell must be
+#      defined in cmd/kprof/main.go (so removed flags leave no stale row).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,6 +37,19 @@ fi
 for f in $flags; do
 	if ! grep -q -- "-$f" README.md; then
 		echo "README.md: kprof flag -$f is not mentioned"
+		fail=1
+	fi
+done
+
+echo "== README flag rows name defined kprof flags =="
+rows=$(grep -E '^\| `-' README.md | cut -d'|' -f2 | grep -oE '`-[a-z]+`' | sed 's/^`-//; s/`$//')
+if [ -z "$rows" ]; then
+	echo "docs_check: found no flag rows in README.md (parser broken?)"
+	exit 1
+fi
+for r in $rows; do
+	if ! echo "$flags" | grep -qx -- "$r"; then
+		echo "README.md: flag row -$r names no flag in cmd/kprof/main.go"
 		fail=1
 	fi
 done
