@@ -50,6 +50,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -175,13 +176,23 @@ func main() {
 		os.Exit(0)
 	}
 
-	if *load != "" {
-		serveStatus("(saved capture)")
-		a, err := analyzeSaved(*load, *tagsIn, *report, *top, *maxlines, *fn)
+	// Reports reach stdout through one buffered writer. flushReport
+	// flushes it and exits 1 on the report's error or the flush's.
+	out := bufio.NewWriter(os.Stdout)
+	flushReport := func(err error) {
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
+	}
+
+	if *load != "" {
+		serveStatus("(saved capture)")
+		a, err := analyzeSaved(out, *load, *tagsIn, *report, *top, *maxlines, *fn)
+		flushReport(err)
 		finish(a)
 	}
 
@@ -270,12 +281,9 @@ func main() {
 	}
 	if *scenario == "embedded" || *scenario == "embedded-old" {
 		serveStatus(*scenario)
-		a, err := runEmbedded(*scenario == "embedded-old", sim.Time(duration.Nanoseconds()),
+		a, err := runEmbedded(out, *scenario == "embedded-old", sim.Time(duration.Nanoseconds()),
 			*seed, mods, *report, *top, *maxlines, *fn, status)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kprof:", err)
-			os.Exit(1)
-		}
+		flushReport(err)
 		finish(a)
 	}
 	serveStatus(*scenario)
@@ -350,14 +358,14 @@ func main() {
 			a.Stats.CorruptRecords, a.Stats.RepairedTimestamps, a.Stats.Resyncs)
 	}
 	if *segments {
-		a.WriteSegments(os.Stdout)
+		a.WriteSegments(out)
 		if n := s.DrainErrs(); n > 0 {
-			fmt.Printf("%d drain(s) failed readout verification (first: %v; %d suppressed); their banks appear above as zero-record lossy segments\n",
+			fmt.Fprintf(out, "%d drain(s) failed readout verification (first: %v; %d suppressed); their banks appear above as zero-record lossy segments\n",
 				n, s.DrainErr(), n-1)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	printReport(a, m, *report, *top, *maxlines, *fn)
+	flushReport(printReport(out, a, m, *report, *top, *maxlines, *fn))
 	finish(a)
 }
 
@@ -529,42 +537,37 @@ func runScenario(m *core.Machine, scenario string, params workload.Params) error
 	return nil
 }
 
-func printReport(a *analyze.Analysis, m *core.Machine, report string, top, maxlines int, fn string) {
+// printReport writes the selected report of a to w and returns the first
+// write error. m supplies the subsystem grouping; nil groups by function.
+func printReport(w io.Writer, a *analyze.Analysis, m *core.Machine, report string, top, maxlines int, fn string) error {
+	var groupOf map[string]string
+	if m != nil && (report == "groups" || report == "timeline") {
+		groupOf = m.SubsystemOf()
+	}
 	switch report {
 	case "summary":
-		a.WriteSummary(os.Stdout, top)
+		return a.WriteSummary(w, top)
 	case "trace":
-		a.WriteTrace(os.Stdout, analyze.TraceOptions{MaxLines: maxlines})
+		return a.WriteTrace(w, analyze.TraceOptions{MaxLines: maxlines})
 	case "groups":
-		var groupOf map[string]string
-		if m != nil {
-			groupOf = m.SubsystemOf()
-		}
-		analyze.WriteGroups(os.Stdout, a.Groups(groupOf))
+		return analyze.WriteGroups(w, a.Groups(groupOf))
 	case "hist":
-		a.HistogramOf(fn).Write(os.Stdout)
+		return a.HistogramOf(fn).Write(w)
 	case "timeline":
-		var groupOf map[string]string
-		if m != nil {
-			groupOf = m.SubsystemOf()
-		}
-		a.Timeline(groupOf, 72).Write(os.Stdout)
+		return a.Timeline(groupOf, 72).Write(w)
 	case "callgraph":
 		g := a.CallGraph()
-		g.Write(os.Stdout, top)
-		if fn != "" {
-			fmt.Println()
-			g.WriteFunction(os.Stdout, fn)
+		if err := g.Write(w, top); err != nil || fn == "" {
+			return err
 		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+		return g.WriteFunction(w, fn)
 	case "json":
-		if err := a.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "kprof:", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "kprof: unknown report %q\n", report)
-		os.Exit(1)
+		return a.WriteJSON(w)
 	}
+	return fmt.Errorf("unknown report %q", report)
 }
 
 // runSweep fans the scenario across a seed set on a worker pool and prints
@@ -621,7 +624,7 @@ func runSweep(scenario, spec string, parallel int, seed uint64, params workload.
 // runEmbedded profiles the Megadata 68020 platform (the paper's first case
 // study): `-scenario embedded` uses the recoded Ethernet driver,
 // `-scenario embedded-old` the original double-copy one.
-func runEmbedded(oldDriver bool, d sim.Time, seed uint64, mods []string, report string, top, maxlines int, fn string, status *export.StatusServer) (*analyze.Analysis, error) {
+func runEmbedded(w io.Writer, oldDriver bool, d sim.Time, seed uint64, mods []string, report string, top, maxlines int, fn string, status *export.StatusServer) (*analyze.Analysis, error) {
 	style := netstack.DriverRecoded
 	if oldDriver {
 		style = netstack.DriverOld
@@ -640,14 +643,15 @@ func runEmbedded(oldDriver bool, d sim.Time, seed uint64, mods []string, report 
 		return nil, err
 	}
 	s.Disarm()
-	fmt.Printf("embedded (68020, %v driver): %d bytes delivered, %d frames, %d drops\n\n",
-		style, res.BytesDelivered, res.Frames, res.Drops)
+	if _, err := fmt.Fprintf(w, "embedded (68020, %v driver): %d bytes delivered, %d frames, %d drops\n\n",
+		style, res.BytesDelivered, res.Frames, res.Drops); err != nil {
+		return nil, err
+	}
 	a := s.Analyze()
-	printReport(a, m, report, top, maxlines, fn)
-	return a, nil
+	return a, printReport(w, a, m, report, top, maxlines, fn)
 }
 
-func analyzeSaved(capPath, tagsPath, report string, top, maxlines int, fn string) (*analyze.Analysis, error) {
+func analyzeSaved(w io.Writer, capPath, tagsPath, report string, top, maxlines int, fn string) (*analyze.Analysis, error) {
 	if tagsPath == "" {
 		return nil, fmt.Errorf("-load requires -tags")
 	}
@@ -672,6 +676,5 @@ func analyzeSaved(capPath, tagsPath, report string, top, maxlines int, fn string
 	// Saved captures come from arbitrary hardware in arbitrary health;
 	// analyze through the hardened pipeline.
 	a := analyze.ReconstructCapture(c, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
-	printReport(a, nil, report, top, maxlines, fn)
-	return a, nil
+	return a, printReport(w, a, nil, report, top, maxlines, fn)
 }

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"kprof/internal/core"
+	"kprof/internal/kernel"
+	"kprof/internal/sim"
+	"kprof/internal/workload"
 )
 
 // TestWriteFile pins the CLI's one file-output path: the written bytes
@@ -66,4 +72,55 @@ func TestWriteFile(t *testing.T) {
 			t.Fatal("writer ran although the file could not be created")
 		}
 	})
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestPrintReportReturnsWriteErrors: every report kind returns the error
+// of a writer that fails partway through it, whether at the first byte,
+// mid-report or at the last byte, and an unknown report is an error too.
+func TestPrintReportReturnsWriteErrors(t *testing.T) {
+	m := core.NewMachine(kernel.Config{Seed: 42})
+	s, err := core.NewSession(m, core.ProfileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Arm()
+	if _, err := workload.NetReceive(m, 60*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	s.Disarm()
+	a := s.Analyze()
+	boom := errors.New("boom")
+	for _, report := range []string{"summary", "trace", "groups", "hist", "timeline", "callgraph", "json"} {
+		var full bytes.Buffer
+		if err := printReport(&full, a, m, report, 20, 80, "bcopy"); err != nil {
+			t.Fatalf("%s: %v", report, err)
+		}
+		if full.Len() == 0 {
+			t.Fatalf("%s: empty report", report)
+		}
+		for _, n := range []int{0, full.Len() / 2, full.Len() - 1} {
+			if err := printReport(&failAfter{n: n, err: boom}, a, m, report, 20, 80, "bcopy"); !errors.Is(err, boom) {
+				t.Errorf("%s failing after %d of %d bytes: printReport = %v, want the write error", report, n, full.Len(), err)
+			}
+		}
+	}
+	if err := printReport(io.Discard, a, m, "nosuch", 20, 80, "bcopy"); err == nil {
+		t.Error("an unknown report returned no error")
+	}
 }

@@ -72,15 +72,19 @@ func runBudget(scenario string, tags int, overheadUS int64, seed uint64,
 			return err
 		}
 	}
+	// The plan reads only the lean statistics, so drained records go back
+	// to the readout pool as they are decoded.
+	profile.Drain.Recycle = true
 	s, err := core.NewSession(m, profile)
 	if err != nil {
 		return err
 	}
 	s.Arm()
-	if _, err := sc.Run(m, params); err != nil {
+	_, err = sc.Run(m, params)
+	s.Disarm()
+	if err != nil {
 		return err
 	}
-	s.Disarm()
 	cands := pgo.CandidatesFromAnalysis(s.AnalyzeLean(), m.ModuleOf())
 	plan := pgo.Optimize(cands, pgo.Budget{Tags: tags, OverheadNs: overheadUS * 1000})
 	fmt.Printf("profiled %s (seed %d): %d candidate functions\n", scenario, seed, plan.Considered)

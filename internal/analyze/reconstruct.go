@@ -121,9 +121,9 @@ type SegmentInfo struct {
 
 // Analysis is the full reconstruction of a capture. It holds no decoded
 // event list: the reconstruction consumes each event as it is decoded.
-// An analysis that Stitch or ReconstructCapture built without DiscardTrace
-// keeps a reference to the records it was built from, to build its trace
-// on first use (see Items).
+// An analysis that Stitch or ReconstructCapture built without DiscardTrace,
+// or that Reconstructor.FinishStitch finished, keeps a reference to the
+// records it was built from, to build its trace on first use (see Items).
 type Analysis struct {
 	Stats DecodeStats
 
@@ -168,11 +168,12 @@ type Analysis struct {
 // force-closed frames add none), so len(Items) <= Stats.Records; the trace
 // is sized to that bound once.
 //
-// A full analysis from Stitch or ReconstructCapture builds the trace on the
-// first call, by reconstructing its records a second time with the trace
-// kept; every later call, from any goroutine, returns the same slice. A
-// lean analysis (DiscardTrace) and one finished through a streaming
-// Reconstructor have no trace and return nil.
+// A full analysis from Stitch, ReconstructCapture or
+// Reconstructor.FinishStitch builds the trace on the first call, by
+// reconstructing its records a second time with the trace kept; every
+// later call, from any goroutine, returns the same slice. A lean analysis
+// (DiscardTrace) and one closed with Reconstructor.Finish have no trace
+// and return nil.
 func (a *Analysis) Items() []TraceItem {
 	a.trace.once.Do(func() {
 		if a.trace.build != nil {

@@ -29,6 +29,9 @@ type ReconstructOptions struct {
 // materializing the event list. A sweep worker pushes the 16384 records,
 // drops the card, and keeps only the finished per-function statistics.
 type Reconstructor struct {
+	// cfg is the clock configuration the records were captured under,
+	// kept so FinishStitch can rerun them exactly as they were decoded.
+	cfg      hw.Config
 	dec      *Decoder
 	rec      *reconstructor
 	finished bool
@@ -45,8 +48,9 @@ type Reconstructor struct {
 // NewReconstructor returns a streaming reconstructor for records captured
 // under the given clock configuration (zero values select the prototype
 // card's 1 MHz, 24 bits). Without DiscardTrace it folds the call-path
-// profile as it streams; it keeps no trace timeline either way, since it
-// has no records to rebuild one from.
+// profile as it streams. It keeps no trace timeline either way: Finish
+// leaves the analysis without one, and FinishStitch attaches a rebuild
+// from the records the caller kept.
 func NewReconstructor(cfg hw.Config, tags *tagfile.File, opts ReconstructOptions) *Reconstructor {
 	m := foldMode
 	if opts.DiscardTrace {
@@ -58,6 +62,7 @@ func NewReconstructor(cfg hw.Config, tags *tagfile.File, opts ReconstructOptions
 func newReconstructor(cfg hw.Config, tags *tagfile.File, repair RepairConfig, m mode) *Reconstructor {
 	a := &Analysis{fns: make(map[string]*FnStat, fnStatArenaCap)}
 	rc := &Reconstructor{
+		cfg: cfg,
 		dec: NewRepairingDecoder(cfg, tags, repair),
 		rec: &reconstructor{a: a, idleStack: &stack{}, mode: m},
 	}
@@ -231,23 +236,49 @@ func Stitch(segs []hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Ana
 	// The trace pass reruns over segs later: copy the list, which a
 	// caller may reuse, though not the records.
 	segs = append([]hw.Capture(nil), segs...)
+	cfg := hw.Config{}
+	if len(segs) > 0 {
+		cfg = segs[0].ClockConfig()
+	}
 	return reconstruct(opts, func(m mode) *Analysis {
-		cfg := hw.Config{}
-		if len(segs) > 0 {
-			cfg = segs[0].ClockConfig()
-		}
-		rc := newReconstructor(cfg, tags, opts.Repair, m)
-		n := 0
-		for _, seg := range segs {
-			n += len(seg.Records)
-		}
-		rc.reserveTrace(n)
-		for _, seg := range segs {
-			rc.PushBatch(seg.Records)
-			rc.EndSegment(seg.Dropped, seg.Overflowed)
-		}
-		return rc.Finish(false, 0)
+		return stitch(newReconstructor(cfg, tags, opts.Repair, m), segs)
 	})
+}
+
+// FinishStitch closes the books of a folding reconstruction (one built
+// without DiscardTrace) that was fed segs in order, one PushBatch and one
+// EndSegment per capture, as a drain loop feeds a background decoder. It
+// gives the result Stitch's lazy trace: the first Items call runs Stitch's
+// loop over segs again, with the trace kept, under this reconstructor's
+// clock configuration, tag file and repair setting. The analysis is then
+// the one Stitch returns for segs under those settings, and it keeps a
+// reference to the segments' records, not a copy.
+func (rc *Reconstructor) FinishStitch(segs []hw.Capture) *Analysis {
+	if rc.rec.mode != foldMode {
+		panic("analyze: FinishStitch on a lean reconstructor")
+	}
+	a := rc.Finish(false, 0)
+	cfg, tags, repair := rc.cfg, rc.dec.tags, rc.dec.repair
+	segs = append([]hw.Capture(nil), segs...)
+	a.trace.build = func() []TraceItem {
+		return stitch(newReconstructor(cfg, tags, repair, traceMode), segs).trace.items
+	}
+	return a
+}
+
+// stitch is Stitch's loop: it feeds segs to the fresh reconstructor rc in
+// order, each capture closed as one segment, and finishes the books.
+func stitch(rc *Reconstructor, segs []hw.Capture) *Analysis {
+	n := 0
+	for _, seg := range segs {
+		n += len(seg.Records)
+	}
+	rc.reserveTrace(n)
+	for _, seg := range segs {
+		rc.PushBatch(seg.Records)
+		rc.EndSegment(seg.Dropped, seg.Overflowed)
+	}
+	return rc.Finish(false, 0)
 }
 
 // ReconstructCapture runs the streaming reconstruction over one single-

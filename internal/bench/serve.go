@@ -60,10 +60,11 @@ func serveBenchmarks(cfg Config, rep *Report) error {
 	var last core.Progress
 	s.SetProgress(func(p core.Progress) { last = p; srv.OnSessionProgress(p) })
 	s.Arm()
-	if _, err := workload.Proday(m, params); err != nil {
+	_, err = workload.Proday(m, params)
+	s.Disarm()
+	if err != nil {
 		return err
 	}
-	s.Disarm()
 	if err := s.DrainErr(); err != nil {
 		return err
 	}

@@ -113,11 +113,14 @@ const (
 )
 
 // recycleDepth is the bounded-channel capacity between the drain loop and
-// the background reconstructor of a recycling session: up to this many
-// drained-but-undecoded segments may be in flight before a drain blocks on
-// the decoder. It also caps the readout pool at recycleDepth+1 buffers, so
-// the records held host-side stay a few card readouts for any run length
-// while a brief decoder stall still does not block the simulation.
+// the background reconstructor: up to this many drained-but-undecoded
+// segments may be in flight before a drain blocks on the decoder. It
+// bounds how far the decoder lags behind the drains, so the decode left
+// for Disarm to wait on is about recycleDepth+1 segments, and a brief
+// decoder stall still does not block the simulation. A recycling session's
+// readout pool is capped at recycleDepth+1 buffers by the same bound, so
+// the records it holds host-side stay a few card readouts for any run
+// length.
 const recycleDepth = 4
 
 // DrainConfig tunes continuous capture.
@@ -130,21 +133,20 @@ type DrainConfig struct {
 	// DefaultDrainInterval. The card has no interrupt line to the host —
 	// the front panel has only LEDs — so the host polls.
 	Interval sim.Time
-	// Recycle streams the capture through a lean reconstruction as it
-	// drains: each drained segment is handed through a bounded channel to
-	// a background goroutine that decodes it while the simulation (and
-	// the next drains) continue, and the record buffer returns to a pool
-	// once the decoder has consumed it. A long continuous capture then
-	// reads the card out into a handful of reused buffers instead of
-	// accumulating every segment's records host-side, and when the session
-	// disarms the analysis is ready — AnalyzeLean returns it, byte-
-	// identical to decoding the retained segments. It narrows the
-	// session's contract: segments retain only their loss metadata
-	// (Segment.Recycled, Capture.Records nil), so the capture cannot be
-	// re-decoded — Analyze and any AnalyzeLean call the streamed result
-	// does not cover panic rather than silently analyzing an empty record
-	// list. Use it where only the final statistics matter (benchmarks,
-	// sweeps), not where the raw records are part of the product.
+	// Recycle trades the drained records for bounded memory. Every
+	// untapped continuous session decodes its segments on a background
+	// goroutine as they drain (see Session.Analyze); under Recycle that
+	// decode is lean (statistics only, as AnalyzeLean returns), and each
+	// record buffer returns to a pool once the decoder has consumed it.
+	// A long continuous capture then reads the card out into a handful of
+	// reused buffers instead of accumulating every segment's records
+	// host-side. It narrows the session's contract: segments retain only
+	// their loss metadata (Segment.Recycled, Capture.Records nil), so the
+	// capture cannot be re-decoded — Analyze and any AnalyzeLean call the
+	// streamed result does not cover panic rather than silently analyzing
+	// an empty record list. Use it where only the final statistics matter
+	// (benchmarks, sweeps), not where the raw records are part of the
+	// product.
 	Recycle bool
 }
 
@@ -220,9 +222,9 @@ type Session struct {
 	drainErr    error
 	drainErrs   int
 
-	// Background-decode state (DrainConfig.Recycle): the in-flight pipe
-	// while armed, then the finished analysis and the number of segments
-	// it consumed once the session disarms.
+	// Background-decode state: the in-flight pipe while armed, then the
+	// finished analysis and the number of segments it consumed once the
+	// session disarms.
 	pipe      *decodePipe
 	pipedA    *analyze.Analysis
 	pipedSegs int
@@ -293,8 +295,10 @@ func (s *Session) SetProgress(fn func(Progress)) { s.progress = fn }
 // pool, so the callback sees Records nil there, exactly like
 // Session.Segments does. This is the streaming tap the fleet ingest
 // pipeline consumes: each machine's segments flow to a host-side ingest
-// worker as they finish instead of being collected after disarm. A nil fn
-// unregisters.
+// worker as they finish instead of being collected after disarm. The tap
+// is the segments' consumer, so a session armed with one (and without
+// Recycle) decodes nothing itself: Analyze runs the serial decode. A nil
+// fn unregisters.
 func (s *Session) SetOnSegment(fn func(Segment)) { s.onSegment = fn }
 
 // notifyProgress delivers a snapshot to the registered callback.
@@ -386,16 +390,21 @@ func (s *Session) Reattach() {
 // Arm flips the front-panel switch to begin capture. In continuous mode it
 // also starts the drain loop: a periodic poll of the card's fill level that
 // drains the RAM through the EPROM socket whenever the high-water mark is
-// crossed.
+// crossed, and, unless a SetOnSegment tap consumes the segments, the
+// background decoder they stream into. An armed continuous session must
+// be ended with Disarm or Reset: either joins that decoder, which
+// otherwise stays blocked on its channel, holding its reconstruction.
 func (s *Session) Arm() {
 	s.Card.Arm()
 	if s.mode == CaptureContinuous && s.drainEv == nil {
 		s.scheduleDrainPoll()
 	}
-	// The background decoder starts on the first arm of a fresh capture; a
+	// The background decoder starts on the first arm of a fresh capture
+	// (nothing drained, nothing streamed) whose segments no tap consumes; a
 	// re-arm after Disarm already consumed its stream, so later segments
-	// fall back to the serial path (AnalyzeLean checks the coverage).
-	if s.mode == CaptureContinuous && s.drain.Recycle && s.pipe == nil && s.pipedA == nil {
+	// fall back to the serial path (streamed checks the coverage).
+	fresh := s.pipe == nil && s.pipedA == nil && len(s.segments) == 0
+	if s.mode == CaptureContinuous && fresh && (s.drain.Recycle || s.onSegment == nil) {
 		s.startPipe()
 	}
 	s.notifyProgress()
@@ -418,7 +427,8 @@ func (s *Session) Disarm() {
 }
 
 // Reset clears the card — and, in continuous mode, the host-side segment
-// store — for a fresh run.
+// store — for a fresh run. It joins the background decoder of a session
+// still armed and drops its analysis.
 func (s *Session) Reset() {
 	s.finishPipe()
 	s.Card.Reset()
@@ -461,28 +471,30 @@ func (s *Session) DrainErr() error { return s.drainErr }
 // stranded bank's drop count, so no loss is silent.
 func (s *Session) DrainErrs() int { return s.drainErrs }
 
-// decodePipe couples a recycling session's drain loop to a background
+// decodePipe couples a continuous session's drain loop to a background
 // reconstructor: drained segments travel through a bounded channel of
 // record batches and are decoded while the simulation runs on. The worker
-// owns the reconstructor exclusively; the main goroutine only sends
-// batches and, after close, reads the finished analysis — so the two sides
-// never share mutable state.
+// owns the reconstructor until done closes; the main goroutine only sends
+// batches and, after done, finishes the reconstructor — so the two sides
+// never share mutable state. The records themselves are shared read-only:
+// nothing writes a drained record after its drain.
 type decodePipe struct {
 	ch   chan pipeBatch
 	done chan struct{}
-	a    *analyze.Analysis
-	// free recycles drained readout buffers: the worker returns a batch's
-	// buffer here once the reconstructor has consumed its records, and
-	// the next drain reads the card out into it. The channel handoff is
-	// the synchronization — a buffer is never touched by both sides at
-	// once.
+	rc   *analyze.Reconstructor
+	// free recycles drained readout buffers under DrainConfig.Recycle
+	// (nil otherwise): the worker returns a batch's buffer here once the
+	// reconstructor has consumed its records, and the next drain reads
+	// the card out into it. The channel handoff is the synchronization —
+	// a buffer is never touched by both sides at once.
 	free chan *hw.ReadoutBuffer
 }
 
 // pipeBatch is one drained segment in flight: the records and the loss at
-// its end boundary. buf is the readout buffer the records live in,
-// returned to the pipe's free pool after consumption; it is nil on a
-// stranded segment, whose buffer the failed drain already returned.
+// its end boundary. buf is the pooled readout buffer the records live in,
+// returned to the pipe's free pool after consumption; it is nil when the
+// segment store keeps the records, and on a stranded segment, whose
+// buffer the failed drain already returned.
 type pipeBatch struct {
 	records    []hw.Record
 	dropped    uint64
@@ -490,24 +502,26 @@ type pipeBatch struct {
 	buf        *hw.ReadoutBuffer
 }
 
-// startPipe launches the background decoder for a recycling continuous
-// capture.
+// startPipe launches the background decoder of a continuous capture: a
+// lean one under DrainConfig.Recycle, a folding one otherwise.
 func (s *Session) startPipe() {
 	p := &decodePipe{
 		ch:   make(chan pipeBatch, recycleDepth),
 		done: make(chan struct{}),
-		// One buffer per in-flight batch plus the one being drained into.
-		free: make(chan *hw.ReadoutBuffer, recycleDepth+1),
+		rc: analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
+			DiscardTrace: s.drain.Recycle,
+			Repair:       analyze.DefaultRepair(),
+		}),
 	}
-	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		DiscardTrace: true,
-		Repair:       analyze.DefaultRepair(),
-	})
+	if s.drain.Recycle {
+		// One buffer per in-flight batch plus the one being drained into.
+		p.free = make(chan *hw.ReadoutBuffer, recycleDepth+1)
+	}
 	go func() {
 		defer close(p.done)
 		for b := range p.ch {
-			rc.PushBatch(b.records)
-			rc.EndSegment(b.dropped, b.overflowed)
+			p.rc.PushBatch(b.records)
+			p.rc.EndSegment(b.dropped, b.overflowed)
 			if b.buf != nil {
 				select {
 				case p.free <- b.buf:
@@ -515,13 +529,14 @@ func (s *Session) startPipe() {
 				}
 			}
 		}
-		p.a = rc.Finish(false, 0)
 	}()
 	s.pipe = p
 }
 
 // finishPipe closes the batch channel, waits for the background decoder to
-// finish the books, and parks the result for AnalyzeLean.
+// consume it, finishes the books, and parks the result for Analyze and
+// AnalyzeLean. A folding decoder's result gets Stitch's lazy trace over
+// the segments it streamed.
 func (s *Session) finishPipe() {
 	p := s.pipe
 	if p == nil {
@@ -530,8 +545,12 @@ func (s *Session) finishPipe() {
 	s.pipe = nil
 	close(p.ch)
 	<-p.done
-	s.pipedA = p.a
 	s.pipedSegs = len(s.segments)
+	if s.drain.Recycle {
+		s.pipedA = p.rc.Finish(false, 0)
+		return
+	}
+	s.pipedA = p.rc.FinishStitch(s.stitchList())
 }
 
 // highWater reports the effective drain threshold.
@@ -583,9 +602,11 @@ func (s *Session) drainNow(rearm bool) {
 		return // nothing captured and nothing lost since the last drain
 	}
 	// A recycling drain reads the card out into a pooled buffer; the pipe
-	// worker hands the buffer back once the decoder has consumed it.
+	// worker hands the buffer back once the decoder has consumed it. Any
+	// other drain reads into fresh storage, which the segment store keeps
+	// and the decoder reads.
 	var buf *hw.ReadoutBuffer
-	if s.pipe != nil {
+	if s.pipe != nil && s.pipe.free != nil {
 		select {
 		case buf = <-s.pipe.free:
 		default:
@@ -673,14 +694,37 @@ func (s *Session) requireResident(op string) {
 	}
 }
 
+// streamed returns the background decoder's analysis when it covers the
+// whole capture: every drained segment went through the pipe, and nothing
+// is left on the card. Otherwise (mid-run, after a re-arm, or with no
+// decoder) it returns nil.
+func (s *Session) streamed() *analyze.Analysis {
+	if s.pipedA != nil && s.pipedSegs == len(s.segments) &&
+		s.Card.Stored() == 0 && s.Card.Dropped == 0 {
+		return s.pipedA
+	}
+	return nil
+}
+
 // Analyze decodes and reconstructs the current capture through the hardened
 // pipeline (timestamp repair on — see analyze.RepairConfig; clean captures
 // decode identically either way). A continuous run's drained segments are
 // stitched back into one timeline, with per-boundary losses reported on
 // Analysis.Segments. The result keeps the trace timeline and invocation
-// trees every report and exporter reads.
+// trees every report and exporter reads; the trace is built from the
+// records on the first Items call.
+//
+// An untapped continuous session decodes each segment in the background as
+// it drains, so once Disarm has joined that decoder the analysis is
+// ready: Analyze returns it, identical to stitching the retained segments,
+// and repeated calls return the same *Analysis. Any analysis the stream
+// does not cover (one-shot, mid-run, after a re-arm, or a session tapped
+// through SetOnSegment) is decoded serially on each call.
 func (s *Session) Analyze() *analyze.Analysis {
 	s.requireResident("Analyze")
+	if a := s.streamed(); a != nil && !s.drain.Recycle {
+		return a
+	}
 	opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
 	if caps := s.stitchList(); caps != nil {
 		return analyze.Stitch(caps, s.Tags, opts)
@@ -692,32 +736,24 @@ func (s *Session) Analyze() *analyze.Analysis {
 // the reconstructor — and discards the trace timeline. The resulting
 // Analysis carries the per-function statistics and idle accounting only,
 // so a sweep worker never holds a copy of the 16384-entry bank list
-// alongside its report. Drained segments stream the same way:
-// the worker holds the segment store it already paid for, nothing more.
+// alongside its report. Drained segments go through analyze.Stitch's lean
+// loop over the segment store the worker already paid for (plus, mid-run,
+// a copy of the bank still on the card).
+//
+// When the background decoder's analysis covers the whole capture (see
+// Analyze), AnalyzeLean returns it instead, and repeated calls return the
+// same *Analysis: lean under DrainConfig.Recycle, otherwise the full
+// analysis Analyze returns, whose statistics are the same.
 func (s *Session) AnalyzeLean() *analyze.Analysis {
-	// A finished recycling capture already decoded every segment in the
-	// background; reuse it when it covers the whole capture (nothing
-	// drained after the pipe closed, nothing left on the card).
-	if s.pipedA != nil && s.pipedSegs == len(s.segments) &&
-		s.Card.Stored() == 0 && s.Card.Dropped == 0 {
-		return s.pipedA
+	if a := s.streamed(); a != nil {
+		return a
 	}
 	s.requireResident("AnalyzeLean")
-	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		DiscardTrace: true,
-		Repair:       analyze.DefaultRepair(),
-	})
-	if len(s.segments) > 0 {
-		for _, seg := range s.segments {
-			rc.PushBatch(seg.Capture.Records)
-			rc.EndSegment(seg.Capture.Dropped, seg.Capture.Overflowed)
-		}
-		if s.Card.Stored() > 0 || s.Card.Dropped > 0 {
-			rc.PushBatch(s.Card.Records())
-			rc.EndSegment(s.Card.Dropped, s.Card.Overflowed())
-		}
-		return rc.Finish(false, 0)
+	opts := analyze.ReconstructOptions{DiscardTrace: true, Repair: analyze.DefaultRepair()}
+	if caps := s.stitchList(); caps != nil {
+		return analyze.Stitch(caps, s.Tags, opts)
 	}
+	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, opts)
 	rc.PushBatch(s.Card.Records())
 	return rc.Finish(s.Card.Overflowed(), s.Card.Dropped)
 }

@@ -291,8 +291,10 @@ func TestDrainedAnalysisMatchesOneShot(t *testing.T) {
 	if got, want := cont.SummaryString(0), one.SummaryString(0); got != want {
 		t.Fatalf("stitched summary differs from one-shot:\n--- one-shot\n%s--- stitched\n%s", want, got)
 	}
-	// The lean path agrees with the full path segment for segment.
+	// The lean path agrees with a serial lean Stitch of the retained
+	// segments, and with the full path segment for segment.
 	lean := sCont.AnalyzeLean()
+	matchesStitch(t, "lean", lean, sCont)
 	if got, want := lean.SummaryString(0), cont.SummaryString(0); got != want {
 		t.Fatalf("lean stitched summary differs:\n--- full\n%s--- lean\n%s", want, got)
 	}
@@ -430,9 +432,10 @@ func TestReadoutViaSocketMatchesDirectDump(t *testing.T) {
 }
 
 // The pipelined decoder (readout overlapping decode on a background
-// goroutine, which the Recycle drain mode runs) must be invisible in the
-// output: a pipelined continuous run yields a summary and segment
-// accounting byte-identical to the serial lean path over the same seeded
+// goroutine, which every untapped continuous session runs) must be
+// invisible in the output: a recycling and a record-retaining continuous
+// run yield a summary and segment accounting byte-identical to each other
+// and to a serial Stitch of the retained records over the same seeded
 // workload.
 func TestPipelinedDecodeMatchesSerial(t *testing.T) {
 	run := func(pipeline bool) (*Session, *analyze.Analysis) {
@@ -444,6 +447,8 @@ func TestPipelinedDecodeMatchesSerial(t *testing.T) {
 	}
 	sSer, serial := run(false)
 	sPipe, piped := run(true)
+	matchesStitch(t, "retained", serial, sSer)
+	matchesStitch(t, "recycled", piped, sSer)
 	if len(sPipe.Segments()) < 2 {
 		t.Fatalf("pipelined run drained only %d segments", len(sPipe.Segments()))
 	}
@@ -505,8 +510,18 @@ func TestMidRunAnalyzePipelineEquivalence(t *testing.T) {
 			for _, seg := range s.Segments() {
 				seen += seg.Records
 			}
-			if mid := s.Analyze(); mid.Stats.Records != seen {
+			mid := s.Analyze()
+			if mid.Stats.Records != seen {
 				t.Fatalf("mid-run analysis decoded %d records, %d captured so far", mid.Stats.Records, seen)
+			}
+			// The stream does not cover a mid-run capture, so the lean
+			// path decodes serially too, and agrees with the full one.
+			lean := s.AnalyzeLean()
+			if got, want := lean.SummaryString(0), mid.SummaryString(0); got != want {
+				t.Fatalf("mid-run lean summary differs:\n--- full\n%s--- lean\n%s", want, got)
+			}
+			if lean.Stats != mid.Stats || lean.SegmentsString() != mid.SegmentsString() {
+				t.Fatalf("mid-run lean analysis differs: full %+v, lean %+v", mid.Stats, lean.Stats)
 			}
 		}
 		m.K.Run(2 * sim.Second)

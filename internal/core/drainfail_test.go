@@ -13,11 +13,12 @@ import (
 
 // runGlitched profiles the same seeded workload the drain-equivalence tests
 // use, with an optional injector on the readout path, retaining the drained
-// records or (recycle) streaming them through the background decoder. Because readout-class
-// faults never touch the latch path (and draw no randomness per strobe),
-// the strobe stream is bit-identical to a clean run's — and a failed drain
-// resets the card exactly like a successful one, so the fill-level
-// trajectory and every drain boundary line up too. That makes the clean run
+// records or (recycle) returning them to the readout pool once the
+// background decoder has consumed them. Because readout-class faults never
+// touch the latch path (and draw no randomness per strobe), the strobe
+// stream is bit-identical to a clean run's — and a failed drain resets the
+// card exactly like a successful one, so the fill-level trajectory and
+// every drain boundary line up too. That makes the clean run
 // a strobe-for-strobe reference for the glitched one.
 func runGlitched(t *testing.T, fc *faults.Config, recycle bool) (*Session, *analyze.Analysis, Progress) {
 	t.Helper()
@@ -125,13 +126,16 @@ func TestGlitchedDrainCaptureContinues(t *testing.T) {
 }
 
 // TestGlitchedDrainPipelineMatchesSerial pins the recycling decoder's view
-// of a glitched run to the serial path's: a failed drain hands its pooled
-// buffer straight back, and the stranded segment flows through the pipe as
-// an empty batch with its drop count, so both paths see the identical
+// of a glitched run to the record-retaining one's and both to a serial
+// Stitch of the retained records: a failed drain hands its pooled buffer
+// straight back, and the stranded segment flows through the pipe as an
+// empty batch with its drop count, so every path sees the identical
 // boundary sequence.
 func TestGlitchedDrainPipelineMatchesSerial(t *testing.T) {
 	sSer, serial, _ := runGlitched(t, glitchAll, false)
 	sPipe, piped, _ := runGlitched(t, glitchAll, true)
+	matchesStitch(t, "retained", serial, sSer)
+	matchesStitch(t, "recycled", piped, sSer)
 	if sSer.DrainErrs() == 0 || sSer.DrainErrs() != sPipe.DrainErrs() {
 		t.Fatalf("drain failures differ: serial %d, recycled %d", sSer.DrainErrs(), sPipe.DrainErrs())
 	}

@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"kprof/internal/analyze"
 	"kprof/internal/kernel"
 	"kprof/internal/sim"
 )
 
 // runForRecycle profiles the drain-equivalence workload, retaining the
-// drained records or (recycle) streaming them through the background
-// decoder into recycled buffers.
+// drained records or (recycle) returning them to recycled buffers once the
+// background decoder has consumed them. Either way the segments stream
+// through the background decoder.
 func runForRecycle(t *testing.T, recycle bool) *Session {
 	t.Helper()
 	m := NewMachine(kernel.Config{Seed: 11})
@@ -33,13 +35,36 @@ func runForRecycle(t *testing.T, recycle bool) *Session {
 	return s
 }
 
+// matchesStitch fails t unless a's summary, statistics and segment table
+// equal a serial lean analyze.Stitch of ref's retained segment captures:
+// the serial decode every streamed analysis must reproduce.
+func matchesStitch(t *testing.T, side string, a *analyze.Analysis, ref *Session) {
+	t.Helper()
+	serial := analyze.Stitch(ref.stitchList(), ref.Tags, analyze.ReconstructOptions{
+		DiscardTrace: true,
+		Repair:       analyze.DefaultRepair(),
+	})
+	if got, want := a.SummaryString(0), serial.SummaryString(0); got != want {
+		t.Fatalf("%s summary differs from the serial Stitch:\n--- serial\n%s--- %s\n%s", side, want, side, got)
+	}
+	if a.Stats != serial.Stats {
+		t.Fatalf("%s stats differ: serial %+v, %s %+v", side, serial.Stats, side, a.Stats)
+	}
+	if got, want := a.SegmentsString(), serial.SegmentsString(); got != want {
+		t.Fatalf("%s segment table differs:\n--- serial\n%s--- %s\n%s", side, want, side, got)
+	}
+}
+
 // TestRecycleMatchesResident pins the recycling drain loop's analysis to
-// the record-retaining one's, byte for byte: recycling changes where the
-// drained bytes live, never what they say.
+// the record-retaining one's, byte for byte, and both to a serial Stitch
+// of the retained records: recycling changes where the drained bytes
+// live, never what they say.
 func TestRecycleMatchesResident(t *testing.T) {
 	sKeep := runForRecycle(t, false)
 	sRec := runForRecycle(t, true)
 	keep, rec := sKeep.AnalyzeLean(), sRec.AnalyzeLean()
+	matchesStitch(t, "resident", keep, sKeep)
+	matchesStitch(t, "recycled", rec, sKeep)
 	if got, want := rec.SummaryString(0), keep.SummaryString(0); got != want {
 		t.Fatalf("recycled summary differs from resident:\n--- resident\n%s--- recycled\n%s", want, got)
 	}

@@ -147,7 +147,11 @@ func runProfiled(cfg LoopConfig, sc workload.Scenario, apply func(*core.Machine)
 			return Measurement{}, fmt.Errorf("pgo: seed %d: setup: %w", cfg.Seed, err)
 		}
 	}
-	s, err := core.NewSession(m, cfg.Profile)
+	// The measurement reads only the lean statistics, so drained records go
+	// back to the readout pool as they are decoded.
+	prof := cfg.Profile
+	prof.Drain.Recycle = true
+	s, err := core.NewSession(m, prof)
 	if err != nil {
 		return Measurement{}, fmt.Errorf("pgo: seed %d: %w", cfg.Seed, err)
 	}
@@ -155,10 +159,11 @@ func runProfiled(cfg LoopConfig, sc workload.Scenario, apply func(*core.Machine)
 		apply(m)
 	}
 	s.Arm()
-	if _, err := sc.Run(m, cfg.Params); err != nil {
+	_, err = sc.Run(m, cfg.Params)
+	s.Disarm()
+	if err != nil {
 		return Measurement{}, fmt.Errorf("pgo: seed %d: %w", cfg.Seed, err)
 	}
-	s.Disarm()
 	a := s.AnalyzeLean()
 	meas := Measurement{
 		A:           a,

@@ -228,6 +228,9 @@ func runSeed(cfg Config, sc workload.Scenario, seed uint64) (SeedResult, error) 
 		}
 	}
 	prof := cfg.Profile
+	// A seed reads only the lean statistics, so its drained records go back
+	// to the readout pool as they are decoded.
+	prof.Drain.Recycle = true
 	if prof.Faults != nil {
 		// Per-seed fault profile: every seed gets a distinct but
 		// reproducible fault stream derived from the sweep's base seed.
@@ -241,10 +244,10 @@ func runSeed(cfg Config, sc workload.Scenario, seed uint64) (SeedResult, error) 
 	}
 	s.Arm()
 	line, err := sc.Run(m, cfg.Params)
+	s.Disarm()
 	if err != nil {
 		return SeedResult{}, fmt.Errorf("sweep: seed %d: %w", seed, err)
 	}
-	s.Disarm()
 
 	r := sample(seed, line, s.AnalyzeLean())
 	if st, ok := s.FaultStats(); ok {

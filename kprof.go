@@ -15,7 +15,8 @@
 //     paper's case studies.
 //   - Session.Analyze decodes the captured (tag, µs) stream and produces
 //     the paper's reports: the per-function summary and the code-path
-//     trace.
+//     trace. A continuous session decodes its segments in the background
+//     as they drain, so the analysis is ready when Disarm returns.
 //   - Exporters (WritePprof, WriteChromeTrace) hand the reconstruction to
 //     modern viewers — `go tool pprof` and Perfetto/chrome://tracing — and
 //     StatusServer serves live capture status over HTTP.
@@ -95,7 +96,10 @@ type Segment = core.Segment
 // plus the losses (dropped strobes, force-closed frames) at its boundary.
 type SegmentInfo = analyze.SegmentInfo
 
-// Session is an instrumented kernel with the Profiler card attached.
+// Session is an instrumented kernel with the Profiler card attached. An
+// armed continuous Session must be ended with Disarm or Reset: unless a
+// SetOnSegment tap consumes its segments, Arm starts a background decoder
+// that only those two calls join.
 type Session = core.Session
 
 // NewSession instruments the machine per cfg and attaches the card.
@@ -155,7 +159,9 @@ func Analyze(c Capture, tags *TagFile) *Analysis {
 // Stitch reconstructs a segmented capture — the drained slices of one
 // continuous run, in drain order — into a single Analysis, reporting any
 // per-boundary losses on Analysis.Segments. Like Analyze, it runs the
-// hardened pipeline and keeps the trace.
+// hardened pipeline and keeps the trace. It is the serial form of what a
+// continuous Session does while it drains: Session.Analyze returns the
+// same analysis, decoded segment by segment during the run.
 func Stitch(segs []Capture, tags *TagFile) *Analysis {
 	return analyze.Stitch(segs, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"kprof"
+	"kprof/internal/analyze"
 	"kprof/internal/sim"
 )
 
@@ -156,6 +157,22 @@ func TestProdayDrainedMatchesOneShot(t *testing.T) {
 	lean := sCont.AnalyzeLean()
 	if got, want := lean.SummaryString(0), cont.SummaryString(0); got != want {
 		t.Fatalf("lean stitched summary differs:\n--- full\n%s--- lean\n%s", want, got)
+	}
+	// The streamed analysis both calls return must match a serial lean
+	// decode of the retained segments.
+	var caps []kprof.Capture
+	for _, seg := range sCont.Segments() {
+		caps = append(caps, seg.Capture)
+	}
+	serial := analyze.Stitch(caps, sCont.Tags, analyze.ReconstructOptions{
+		DiscardTrace: true,
+		Repair:       analyze.DefaultRepair(),
+	})
+	if got, want := lean.SummaryString(0), serial.SummaryString(0); got != want {
+		t.Fatalf("streamed summary differs from a serial Stitch:\n--- serial\n%s--- streamed\n%s", want, got)
+	}
+	if lean.Stats != serial.Stats || lean.SegmentsString() != serial.SegmentsString() {
+		t.Fatalf("streamed analysis differs from a serial Stitch: serial %+v, streamed %+v", serial.Stats, lean.Stats)
 	}
 }
 

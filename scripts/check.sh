@@ -38,15 +38,24 @@ echo "== kbench module: vet + test =="
 echo "== long-scenario drain golden =="
 go test -run 'TestGoldenNetReceiveLongDrain|TestGoldenProdayDrain' .
 
-echo "== recycling drain decoder under the race detector =="
-# A recycling session decodes on a background goroutine and hands readout
-# buffers back and forth with the drain loop; the differential tests
-# (clean and glitched drains) and the allocation ceiling must hold with
-# the race detector watching that hand-off.
+echo "== background drain decoder under the race detector =="
+# A continuous session decodes its drained segments on a background
+# goroutine: a recycling one hands readout buffers back and forth with the
+# drain loop, and any other shares the retained records with the decoder
+# and finishes its analysis at Disarm. The differential tests (clean and
+# glitched drains, recycled and retained, streamed against a serial
+# Stitch, mid-run analysis), the decoder join and the allocation ceiling
+# must hold with the race detector watching those hand-offs; the streamed
+# tests repeat under one, two and four procs.
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestRecycle|TestGlitchedDrain|TestDrainZeroAlloc' \
 		./internal/core/ ./internal/bench/
+	for procs in 1 2 4; do
+		GOMAXPROCS=$procs go test -race -count=10 \
+			-run 'TestStreamedAnalyze|TestMidRunAnalyzePipelineEquivalence' \
+			./internal/core/
+	done
 fi
 
 echo "== fleet determinism + restart + join (GOMAXPROCS 1/2/4) =="
