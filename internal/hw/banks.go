@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // The physical card stores each 40-bit record across five 8-bit static RAM
@@ -114,7 +115,22 @@ func (c Capture) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ReadCapture deserializes a capture written by WriteTo.
+// rawRecordSize is a packed record's size in the file: tag, then stamp.
+const rawRecordSize = 2 + 4
+
+// readChunk is how many records ReadCapture reads and decodes per call on
+// its reader: large enough that an unbuffered file costs one read per 24 KB,
+// small enough that a header claiming more records than the input holds
+// costs little before the input runs out.
+const readChunk = 4096
+
+// ReadCapture deserializes a capture written by WriteTo. It reads the
+// records in chunks through one buffer of its own, so an unbuffered file is
+// read efficiently, and never reads past the capture's last record. The
+// header's record count is trusted only as far as the input backs it: the
+// record list is sized from the bytes left when the reader can tell (a file,
+// an in-memory reader), and otherwise starts at one chunk and doubles as
+// records arrive.
 func ReadCapture(r io.Reader) (Capture, error) {
 	var h rawHeader
 	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
@@ -126,20 +142,63 @@ func ReadCapture(r io.Reader) (Capture, error) {
 	if h.Version != rawVersion {
 		return Capture{}, fmt.Errorf("hw: unsupported capture version %d", h.Version)
 	}
-	c := Capture{
-		Records:    make([]Record, h.Count),
+	count := int(h.Count)
+	if count < 0 { // only where int has 32 bits
+		return Capture{}, fmt.Errorf("hw: capture claims %d records, too many for this platform", h.Count)
+	}
+	size := min(count, readChunk)
+	if left, ok := unreadBytes(r); ok && left >= 0 {
+		size = int(min(int64(count), left/rawRecordSize))
+	}
+	recs := make([]Record, 0, size)
+	buf := make([]byte, min(count, readChunk)*rawRecordSize)
+	for len(recs) < count {
+		n := min(count-len(recs), readChunk)
+		b := buf[:n*rawRecordSize]
+		if got, err := io.ReadFull(r, b); err != nil {
+			return Capture{}, fmt.Errorf("hw: truncated capture at record %d: %w", len(recs)+got/rawRecordSize, err)
+		}
+		if len(recs)+n > cap(recs) {
+			grown := make([]Record, len(recs), min(count, max(2*cap(recs), len(recs)+n)))
+			copy(grown, recs)
+			recs = grown
+		}
+		for i := 0; i < len(b); i += rawRecordSize {
+			recs = append(recs, Record{
+				Tag:   binary.LittleEndian.Uint16(b[i:]),
+				Stamp: binary.LittleEndian.Uint32(b[i+2:]),
+			})
+		}
+	}
+	return Capture{
+		Records:    recs,
 		Overflowed: h.Flags&flagOverflowed != 0,
 		Dropped:    h.Dropped,
 		ClockHz:    h.ClockHz,
 		TimerBits:  uint(h.TimerBits),
-	}
-	for i := range c.Records {
-		if err := binary.Read(r, binary.LittleEndian, &c.Records[i].Tag); err != nil {
-			return Capture{}, fmt.Errorf("hw: truncated capture at record %d: %w", i, err)
+	}, nil
+}
+
+// unreadBytes reports how many bytes r holds past its position when r can
+// tell without reading: an in-memory reader by its Len, a regular file by
+// its size less its offset.
+func unreadBytes(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case interface {
+		io.Seeker
+		Stat() (fs.FileInfo, error)
+	}:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
 		}
-		if err := binary.Read(r, binary.LittleEndian, &c.Records[i].Stamp); err != nil {
-			return Capture{}, fmt.Errorf("hw: truncated capture at record %d: %w", i, err)
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
 		}
+		return fi.Size() - off, true
 	}
-	return c, nil
+	return 0, false
 }

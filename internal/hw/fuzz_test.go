@@ -14,6 +14,7 @@ func FuzzReadCapture(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("KPROFRAW garbage"))
 	f.Add([]byte{})
+	f.Add(hugeCountHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCapture(bytes.NewReader(data))
 		if err != nil {

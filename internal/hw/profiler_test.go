@@ -2,7 +2,15 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"kprof/internal/sim"
@@ -319,5 +327,78 @@ func TestCaptureAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hugeCountHeader is a 64-byte input whose header claims 2³²−1 records and
+// whose body holds three and a third.
+func hugeCountHeader() []byte {
+	var buf bytes.Buffer
+	Capture{Records: []Record{{1, 2}, {3, 4}, {5, 6}, {7, 8}}}.WriteTo(&buf)
+	b := buf.Bytes()[:64]
+	binary.LittleEndian.PutUint32(b[12:], 1<<32-1) // rawHeader.Count
+	return b
+}
+
+// captureReaders opens data three ways: as an in-memory reader (its size
+// known from Len), as a regular file (from its size and offset), and behind
+// a reader that tells nothing and returns a few bytes per call.
+func captureReaders(t *testing.T, data []byte) map[string]io.Reader {
+	path := filepath.Join(t.TempDir(), "capture.raw")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return map[string]io.Reader{
+		"memory":  bytes.NewReader(data),
+		"file":    f,
+		"unsized": iotest.HalfReader(bytes.NewReader(data)),
+	}
+}
+
+// A header's record count is not an allocation request: a short input that
+// claims 2³²−1 records (32 GiB of them) fails once its bytes run out, after
+// allocating no more than a chunk.
+func TestReadCaptureHugeCountHeader(t *testing.T) {
+	for name, r := range captureReaders(t, hugeCountHeader()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCapture(r)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated capture at record 3") {
+			t.Fatalf("%s: err = %v, want truncation at record 3", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: allocated %d bytes reading a 64-byte input, want under 1 MB", name, alloc)
+		}
+	}
+}
+
+// A capture larger than one read chunk round-trips from every kind of
+// reader, and the record list is sized exactly.
+func TestReadCaptureAcrossChunks(t *testing.T) {
+	c := Capture{Records: make([]Record, 3*readChunk+5), ClockHz: 4_000_000, TimerBits: 26}
+	for i := range c.Records {
+		c.Records[i] = Record{Tag: uint16(i), Stamp: uint32(i*7) & TimerMask}
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range captureReaders(t, buf.Bytes()) {
+		got, err := ReadCapture(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got.Records, c.Records) || got.ClockHz != c.ClockHz || got.TimerBits != c.TimerBits {
+			t.Fatalf("%s: multi-chunk round trip changed the capture", name)
+		}
+		if cap(got.Records) != len(c.Records) {
+			t.Fatalf("%s: record list cap %d for %d records", name, cap(got.Records), len(c.Records))
+		}
 	}
 }

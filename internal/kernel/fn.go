@@ -114,15 +114,42 @@ func (k *Kernel) Functions() []*Fn {
 //	movb _ProfileBase+1387,%cl   ; exit
 //	ret
 func (k *Kernel) Call(fn *Fn, body func()) {
+	k.Enter(fn)
+	body()
+	k.Exit(fn)
+}
+
+// Enter is the first half of Call: it counts the call, makes fn the
+// innermost function of the executing context and fires the entry trigger
+// (the prologue's load). The code between Enter and the matching Exit is
+// fn's body. Hot paths that processes park on use the pair directly, so a
+// simulated frame costs one Go frame instead of Call's frame plus a
+// closure; every Enter must be matched by an Exit of the same fn in the
+// same context.
+func (k *Kernel) Enter(fn *Fn) {
 	fn.Calls++
 	st := k.stack()
 	*st = append(*st, fn)
 	k.fireTrigger(fn, fn.entryAddr)
-	body()
+}
+
+// Exit is the second half of Call: it fires fn's exit trigger (the
+// epilogue's load) and pops fn off the executing context's call stack. It
+// panics, naming both functions, if fn is not the innermost open function:
+// an unbalanced pair would otherwise corrupt CurrentFn, which the sampling
+// profiler reads.
+func (k *Kernel) Exit(fn *Fn) {
+	if cur := k.CurrentFn(); cur != fn {
+		name := "no function"
+		if cur != nil {
+			name = cur.Name
+		}
+		panic(fmt.Sprintf("kernel: Exit(%s) with %s innermost", fn.Name, name))
+	}
 	k.fireTrigger(fn, fn.exitAddr)
-	// The slice header may have moved while body ran (appends), but the
+	// The stack may have moved while the body ran (appends), but the
 	// context is the same: pop from the current view.
-	st = k.stack()
+	st := k.stack()
 	*st = (*st)[:len(*st)-1]
 }
 
@@ -152,7 +179,9 @@ func (k *Kernel) CallDepth() int { return len(*k.stack()) }
 
 // CallCost is shorthand for a leaf function whose body is a plain time cost.
 func (k *Kernel) CallCost(fn *Fn, cost sim.Time) {
-	k.Call(fn, func() { k.Advance(cost) })
+	k.Enter(fn)
+	k.Advance(cost)
+	k.Exit(fn)
 }
 
 // Inline fires a single inline trigger (the paper's asm-macro mechanism,

@@ -80,15 +80,15 @@ func (k *Kernel) runIntr(irq *IRQ) {
 	k.Stats.Interrupts++
 	k.intrNest++
 	saved := k.spl
-	k.Call(k.fnISAINTR, func() {
-		// Interrupts are off (cli) through the stub until the ICU mask
-		// for this line's class is in place.
-		k.spl = MaskAll
-		k.Advance(k.costs.intrEntry)
-		k.spl = saved | irq.Class | irq.RunAt
-		irq.Handler()
-		k.Advance(k.costs.intrAST)
-	})
+	k.Enter(k.fnISAINTR)
+	// Interrupts are off (cli) through the stub until the ICU mask for
+	// this line's class is in place.
+	k.spl = MaskAll
+	k.Advance(k.costs.intrEntry)
+	k.spl = saved | irq.Class | irq.RunAt
+	irq.Handler()
+	k.Advance(k.costs.intrAST)
+	k.Exit(k.fnISAINTR)
 	k.spl = saved
 	k.intrNest--
 }
@@ -151,10 +151,10 @@ func (k *Kernel) runSoftIntrs() {
 		k.Stats.SoftIntrs++
 		saved := k.spl
 		k.spl |= MaskSoftNet | MaskSoftClock
-		k.Call(k.fnDoreti, func() {
-			k.Advance(k.costs.doreti)
-			s.handler()
-		})
+		k.Enter(k.fnDoreti)
+		k.Advance(k.costs.doreti)
+		s.handler()
+		k.Exit(k.fnDoreti)
 		k.spl = saved
 	}
 }

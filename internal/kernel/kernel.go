@@ -18,6 +18,15 @@
 // is a goroutine, but exactly one goroutine runs at a time, passed an
 // execution token through channels by the scheduler; determinism follows
 // from the event queue's total order and the run queue's FIFO discipline.
+//
+// Host cost: a scenario may keep thousands of processes parked, so each is
+// kept cheap for the Go runtime. A process goroutine reserves its stack
+// before it first waits for the token (reserveStack), so the runtime grows
+// it once, with one frame to copy, instead of deep inside a syscall. A
+// simulated function runs through Call, or through its halves Enter and
+// Exit — the prologue's and epilogue's trigger loads — which the paths
+// processes run and park on use directly, so that one simulated frame is one
+// Go frame and the garbage collector unwinds fewer frames per parked stack.
 package kernel
 
 import (

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -80,6 +81,127 @@ func TestCurrentFnDuringInterrupt(t *testing.T) {
 	if k.CurrentFn() != nil {
 		t.Fatal("stack not unwound")
 	}
+}
+
+// Exit checks its frame: an unbalanced Enter/Exit pair panics, naming both
+// functions, before it fires a trigger or touches the stack.
+func TestExitMismatchPanics(t *testing.T) {
+	k := newTestKernel()
+	rec := &recordingTrigger{k: k}
+	k.SetTrigger(rec.fire)
+	alpha := k.RegisterFn("m", "alpha")
+	alpha.SetTriggers(10, 11)
+	beta := k.RegisterFn("m", "beta")
+	beta.SetTriggers(12, 13)
+	panicMsg := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+
+	k.Enter(alpha)
+	msg := panicMsg(func() { k.Exit(beta) })
+	if !strings.Contains(msg, "alpha") || !strings.Contains(msg, "beta") {
+		t.Fatalf("Exit(beta) inside alpha: panic %q, want both names", msg)
+	}
+	if k.CurrentFn() != alpha || k.CallDepth() != 1 || len(rec.addrs) != 1 {
+		t.Fatalf("failed Exit changed state: current %v depth %d triggers %v",
+			k.CurrentFn(), k.CallDepth(), rec.addrs)
+	}
+	k.Exit(alpha)
+	if msg := panicMsg(func() { k.Exit(alpha) }); !strings.Contains(msg, "alpha") {
+		t.Fatalf("Exit(alpha) with nothing entered: panic %q", msg)
+	}
+}
+
+// Enter/Exit pairs and Call frames nest on one per-context stack: a frame
+// held open across a context switch, and interrupts nested two deep on top
+// of it, all pop in order, and the triggers close in reverse order of
+// opening.
+func TestEnterExitNestAcrossSwitchAndInterrupts(t *testing.T) {
+	k := newTestKernel()
+	rec := &recordingTrigger{k: k}
+	k.SetTrigger(rec.fire)
+	outer := k.RegisterFn("m", "outer")
+	inner := k.RegisterFn("m", "inner")
+	other := k.RegisterFn("m", "other")
+	isrLow := k.RegisterFn("m", "isrLow")
+	isrHigh := k.RegisterFn("m", "isrHigh")
+	stub := k.MustFn("ISAINTR")
+	tags := map[uint32]string{}
+	for i, f := range []*Fn{outer, inner, other, isrLow, isrHigh, stub} {
+		f.SetTriggers(uint32(100+2*i), uint32(101+2*i))
+		tags[uint32(100+2*i)] = "+" + f.Name
+		tags[uint32(101+2*i)] = "-" + f.Name
+	}
+
+	var deepest []string
+	irqHigh := k.RegisterIRQ("high", MaskNet, 0, 1, func() {
+		k.Call(isrHigh, func() {
+			for _, f := range *k.stack() {
+				deepest = append(deepest, f.Name)
+			}
+			k.Advance(2 * sim.Microsecond)
+		})
+	})
+	irqLow := k.RegisterIRQ("low", MaskBio, 0, 2, func() {
+		k.Call(isrLow, func() {
+			k.Scheduler().After(3*sim.Microsecond, func() { k.Raise(irqHigh) })
+			k.Advance(20 * sim.Microsecond)
+		})
+	})
+
+	var ident int
+	var marks []string
+	mark := func(what string) { marks = append(marks, what+"="+fnName(k.CurrentFn())) }
+	k.Spawn("a", func(p *Proc) {
+		k.Call(outer, func() {
+			k.Enter(inner)
+			k.Tsleep(&ident, "hold", 0)
+			mark("woken")
+			k.Scheduler().After(5*sim.Microsecond, func() { k.Raise(irqLow) })
+			k.Advance(50 * sim.Microsecond)
+			mark("after interrupts")
+			k.Exit(inner)
+			mark("after inner")
+		})
+		mark("after outer")
+	})
+	k.Spawn("b", func(p *Proc) {
+		k.Call(other, func() {
+			mark("other")
+			k.Advance(10 * sim.Microsecond)
+			k.Wakeup(&ident)
+		})
+	})
+	k.Run(10 * sim.Millisecond)
+
+	wantMarks := "other=other woken=inner after interrupts=inner after inner=outer after outer=none"
+	if got := strings.Join(marks, " "); got != wantMarks {
+		t.Fatalf("CurrentFn marks:\n got %s\nwant %s", got, wantMarks)
+	}
+	wantDeepest := "outer inner ISAINTR isrLow ISAINTR isrHigh"
+	if got := strings.Join(deepest, " "); got != wantDeepest {
+		t.Fatalf("stack in the nested handler = %s, want %s", got, wantDeepest)
+	}
+	var seq []string
+	for _, a := range rec.addrs {
+		if name, ok := tags[a]; ok {
+			seq = append(seq, name)
+		}
+	}
+	wantSeq := "+outer +inner +other -other +ISAINTR +isrLow +ISAINTR +isrHigh " +
+		"-isrHigh -ISAINTR -isrLow -ISAINTR -inner -outer"
+	if got := strings.Join(seq, " "); got != wantSeq {
+		t.Fatalf("trigger order:\n got %s\nwant %s", got, wantSeq)
+	}
+}
+
+func fnName(f *Fn) string {
+	if f == nil {
+		return "none"
+	}
+	return f.Name
 }
 
 func TestInInterrupt(t *testing.T) {

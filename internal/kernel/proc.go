@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 
 	"kprof/internal/sim"
 )
@@ -36,7 +37,10 @@ func (s ProcState) String() string {
 // Proc is a simulated process. Its body runs on its own goroutine, but
 // exactly one process (or the scheduler/idle context) executes at a time;
 // control is handed around through channels, so the simulation stays
-// deterministic.
+// deterministic. The goroutine reserves its stack at spawn (reserveStack),
+// and the paths a process parks on use Enter/Exit rather than Call, so a
+// process parked in sbwait holds one 4 KB stack with one Go frame per open
+// simulated function.
 type Proc struct {
 	PID   int
 	Name  string
@@ -104,12 +108,42 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// run is the process goroutine: wait for the CPU, execute the body, exit.
+// run is the process goroutine: reserve its stack, wait for the CPU,
+// execute the body, exit.
 func (p *Proc) run() {
+	reserveStack()
 	<-p.resume
 	p.onDispatch()
 	p.body(p)
 	p.exit()
+}
+
+// stackReserve is the frame reserveStack puts on a fresh process goroutine.
+// A goroutine starts on a 2 KB stack of which only 2048 minus the runtime's
+// guard is usable: 1 120 B in a default build (928 B guard) and 320 B under
+// -race (1 728 B guard). A process body would overflow it about 17 Go frames
+// deep, under Advance inside a syscall's sleep path, and the runtime would
+// copy every one of those frames to a 4 KB stack, once for each of
+// proday's 2 000 sinks. 1.5 KB exceeds what a 2 KB stack can hold in either
+// build and fits in a 4 KB one, so the runtime's one doubling happens at
+// spawn with a single frame to copy, and a 4 KB stack holds the scenarios'
+// deepest syscall-plus-interrupt chains. The size is derived from the
+// runtime's limits, not tuned; an 8 KB reservation measured slower, with
+// larger stacks (EXPERIMENTS.md, E31). When the runtime already starts
+// goroutines larger (its adaptive start size, after a GC), the call costs
+// one frame.
+const stackReserve = 1536
+
+// reserveStack grows the calling goroutine's stack past stackReserve and
+// returns, leaving that room for the frames to come. It runs on the process
+// goroutine before the process holds the CPU token, concurrently with the
+// simulation, so it must touch nothing but its own frame; KeepAlive keeps
+// the frame from being optimised away without letting it escape.
+//
+//go:noinline
+func reserveStack() {
+	var frame [stackReserve]byte
+	runtime.KeepAlive(&frame)
 }
 
 // onDispatch runs in the process context immediately after it is handed the
@@ -173,18 +207,18 @@ func (k *Kernel) Tsleep(ident any, msg string, timeoutTicks int) (timedOut bool)
 	if ident == nil {
 		panic("kernel: Tsleep on nil ident")
 	}
-	k.Call(k.fnTsleep, func() {
-		k.Advance(costTsleep)
-		p.sleepIdent = ident
-		p.sleepMsg = msg
-		p.timedOut = false
-		if timeoutTicks > 0 {
-			p.sleepTimer = k.Timeout(func() { k.endTsleep(p, true) }, timeoutTicks)
-		}
-		p.state = ProcSleeping
-		k.sleepers[ident] = append(k.sleepers[ident], p)
-		k.swtchOut(p, evSlept)
-	})
+	k.Enter(k.fnTsleep)
+	k.Advance(costTsleep)
+	p.sleepIdent = ident
+	p.sleepMsg = msg
+	p.timedOut = false
+	if timeoutTicks > 0 {
+		p.sleepTimer = k.Timeout(func() { k.endTsleep(p, true) }, timeoutTicks)
+	}
+	p.state = ProcSleeping
+	k.sleepers[ident] = append(k.sleepers[ident], p)
+	k.swtchOut(p, evSlept)
+	k.Exit(k.fnTsleep)
 	return p.timedOut
 }
 

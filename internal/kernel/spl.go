@@ -31,10 +31,10 @@ func (k *Kernel) CurrentSPL() SPL { return k.spl }
 // delivers interrupts.
 func (k *Kernel) splRaise(fn *Fn, add SPL, cost sim.Time) SPL {
 	old := k.spl
-	k.Call(fn, func() {
-		k.Advance(cost)
-		k.spl |= add
-	})
+	k.Enter(fn)
+	k.Advance(cost)
+	k.spl |= add
+	k.Exit(fn)
 	return old
 }
 
@@ -60,10 +60,10 @@ func (k *Kernel) SplHigh() SPL { return k.splRaise(k.fnSplhigh, MaskAll, k.costs
 // SplX restores a mask previously returned by a raising routine and
 // delivers any interrupts the lowered mask now admits.
 func (k *Kernel) SplX(old SPL) {
-	k.Call(k.fnSplx, func() {
-		k.Advance(k.costs.splx)
-		k.spl = old
-	})
+	k.Enter(k.fnSplx)
+	k.Advance(k.costs.splx)
+	k.spl = old
+	k.Exit(k.fnSplx)
 	k.dispatchInterrupts()
 }
 
@@ -72,11 +72,11 @@ func (k *Kernel) SplX(old SPL) {
 // paper laments) before returning.
 func (k *Kernel) Spl0() SPL {
 	old := k.spl
-	k.Call(k.fnSpl0, func() {
-		k.Advance(k.costs.spl0)
-		k.spl = 0
-		k.Advance(k.costs.softPoll)
-	})
+	k.Enter(k.fnSpl0)
+	k.Advance(k.costs.spl0)
+	k.spl = 0
+	k.Advance(k.costs.softPoll)
+	k.Exit(k.fnSpl0)
 	k.dispatchInterrupts()
 	return old
 }

@@ -12,11 +12,11 @@ func (k *Kernel) Syscall(p *Proc, body func()) {
 		panic("kernel: Syscall from a process that does not own the CPU")
 	}
 	k.Stats.Syscalls++
-	k.Call(k.fnSyscall, func() {
-		k.Advance(costSyscallEntry)
-		body()
-		k.Advance(costSyscallExit)
-	})
+	k.Enter(k.fnSyscall)
+	k.Advance(costSyscallEntry)
+	body()
+	k.Advance(costSyscallExit)
+	k.Exit(k.fnSyscall)
 	if k.needResch && len(k.runq) > 0 {
 		p.Yield()
 	}

@@ -148,51 +148,51 @@ func (n *Net) SoReceive(p *kernel.Proc, so *Socket, max int) []byte {
 // allocating the return slice every time.
 func (n *Net) SoReceiveInto(p *kernel.Proc, so *Socket, max int, buf []byte) []byte {
 	out := buf[:0]
-	n.k.Call(n.fnSoReceive, func() {
-		n.k.Advance(costSoReceiveBody)
-		s := n.k.SplNet()
-		for so.rcvBytes == 0 {
-			n.k.SplX(s)
-			n.sbWait(so)
-			s = n.k.SplNet()
-		}
-		for len(out) < max && so.rcvHead < len(so.rcvChains) {
-			chain := so.rcvChains[so.rcvHead]
-			data := so.rcvData[so.rcvHead]
-			if len(out)+len(data) > max && len(out) > 0 {
-				break // next chain doesn't fit; deliver what we have
-			}
-			so.rcvChains[so.rcvHead] = nil
-			so.rcvData[so.rcvHead] = nil
-			so.rcvHead++
-			if so.rcvHead == len(so.rcvChains) {
-				so.rcvChains = so.rcvChains[:0]
-				so.rcvData = so.rcvData[:0]
-				so.rcvHead = 0
-			}
-			so.rcvBytes -= len(data)
-			so.RcvRead += uint64(len(data))
-			n.k.SplX(s)
-			// Copy to user space cluster by cluster and free the chain.
-			// External mbufs (data still in controller memory, the
-			// what-if configuration) pay the bus penalty here too.
-			for m := chain; m != nil; m = m.Next {
-				if m.Len > 0 {
-					if m.Region != bus.MainMemory {
-						n.k.Advance(sim.Time(m.Len) *
-							(bus.NsPerByte(m.Region) - bus.NsPerByte(bus.MainMemory)))
-					}
-					n.k.Copyout(m.Len)
-				}
-			}
-			// Copy the payload out BEFORE freeing the chain: the free
-			// recycles the frame buffer data points into.
-			out = append(out, data...)
-			n.pool.MFreeChain(chain)
-			s = n.k.SplNet()
-		}
+	n.k.Enter(n.fnSoReceive)
+	n.k.Advance(costSoReceiveBody)
+	s := n.k.SplNet()
+	for so.rcvBytes == 0 {
 		n.k.SplX(s)
-	})
+		n.sbWait(so)
+		s = n.k.SplNet()
+	}
+	for len(out) < max && so.rcvHead < len(so.rcvChains) {
+		chain := so.rcvChains[so.rcvHead]
+		data := so.rcvData[so.rcvHead]
+		if len(out)+len(data) > max && len(out) > 0 {
+			break // next chain doesn't fit; deliver what we have
+		}
+		so.rcvChains[so.rcvHead] = nil
+		so.rcvData[so.rcvHead] = nil
+		so.rcvHead++
+		if so.rcvHead == len(so.rcvChains) {
+			so.rcvChains = so.rcvChains[:0]
+			so.rcvData = so.rcvData[:0]
+			so.rcvHead = 0
+		}
+		so.rcvBytes -= len(data)
+		so.RcvRead += uint64(len(data))
+		n.k.SplX(s)
+		// Copy to user space cluster by cluster and free the chain.
+		// External mbufs (data still in controller memory, the
+		// what-if configuration) pay the bus penalty here too.
+		for m := chain; m != nil; m = m.Next {
+			if m.Len > 0 {
+				if m.Region != bus.MainMemory {
+					n.k.Advance(sim.Time(m.Len) *
+						(bus.NsPerByte(m.Region) - bus.NsPerByte(bus.MainMemory)))
+				}
+				n.k.Copyout(m.Len)
+			}
+		}
+		// Copy the payload out BEFORE freeing the chain: the free
+		// recycles the frame buffer data points into.
+		out = append(out, data...)
+		n.pool.MFreeChain(chain)
+		s = n.k.SplNet()
+	}
+	n.k.SplX(s)
+	n.k.Exit(n.fnSoReceive)
 	// Reading opened the receive window; tell the peer (the window-update
 	// ACK real TCP sends when space becomes available again).
 	if so.Proto == ProtoTCP && so.tcb.peer != 0 && len(out) > 0 {
@@ -203,10 +203,10 @@ func (n *Net) SoReceiveInto(p *kernel.Proc, so *Socket, max int, buf []byte) []b
 
 // sbWait blocks the reading process until data arrives.
 func (n *Net) sbWait(so *Socket) {
-	n.k.Call(n.fnSbWait, func() {
-		n.k.Advance(costSbWait)
-		n.k.Tsleep(&so.rcvChains, "sbwait", 0)
-	})
+	n.k.Enter(n.fnSbWait)
+	n.k.Advance(costSbWait)
+	n.k.Tsleep(&so.rcvChains, "sbwait", 0)
+	n.k.Exit(n.fnSbWait)
 }
 
 // SoSend transmits payload over the socket's connection in MSS-sized

@@ -102,10 +102,15 @@ go test -count=1 \
 go test -count=1 -run 'TestGoldenPGO' .
 
 echo "== fuzz smoke =="
+# The capture reader faces saved files from disk: its corpus replays here,
+# including a header that claims 2^32-1 records, and it is fuzzed beside
+# the segment-boundary decoder.
 go test -run 'FuzzDecodeUnwrap|FuzzSegmentBoundary|FuzzFaultedDecode|FuzzProdayDecode' ./internal/analyze/
 go test -run 'FuzzReadArtifact' ./internal/bench/
+go test -run 'FuzzReadCapture' ./internal/hw/
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 10s ./internal/analyze/
+	go test -run FuzzReadCapture -fuzz FuzzReadCapture -fuzztime 10s ./internal/hw/
 fi
 
 echo "== coverage floors =="
