@@ -20,11 +20,13 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
 	"kprof/internal/analyze"
 	"kprof/internal/core"
+	"kprof/internal/export"
 	"kprof/internal/fleet"
 	"kprof/internal/hw"
 	"kprof/internal/kernel"
@@ -270,6 +272,38 @@ func Run(cfg Config) (*Report, error) {
 	drainRes := measure("capture/drain", drainRecords, 1, drainIters, drainPass)
 	drainRes.WallNoisy = true
 	rep.Benchmarks = append(rep.Benchmarks, drainRes)
+
+	// capture/analyze: the command line's drained capture — the same
+	// netrecv pass, but the segment store keeps every drained record, the
+	// background decoder folds them, and the pass ends with the full
+	// Analyze and the pprof export — measured per captured record. It is
+	// the only row whose drained records stay live, so its byte figure
+	// counts the readout's copies of the card RAM.
+	var analyzeRecords int
+	analyzePass := func() {
+		m := core.NewMachine(kernel.Config{Seed: cfg.seed()})
+		as, err := core.NewSession(m, core.ProfileConfig{
+			Mode:  core.CaptureContinuous,
+			Depth: 4096,
+		})
+		if err != nil {
+			panic(err)
+		}
+		as.Arm()
+		if _, err := workload.NetReceive(m, drainDur); err != nil {
+			panic(err)
+		}
+		as.Disarm()
+		a := as.Analyze()
+		if err := export.WritePprof(io.Discard, a, export.PprofOptions{}); err != nil {
+			panic(err)
+		}
+		analyzeRecords = a.Stats.Records
+	}
+	analyzePass()
+	analyzeRes := measure("capture/analyze", analyzeRecords, 1, drainIters, analyzePass)
+	analyzeRes.WallNoisy = true
+	rep.Benchmarks = append(rep.Benchmarks, analyzeRes)
 
 	// sweep/multiseed: the parallel sweep engine end to end, measured per
 	// record decoded across all seeds.
