@@ -91,27 +91,55 @@ func TestSelectiveProfiling(t *testing.T) {
 	}
 }
 
+// An unplugged card takes the bus read away and nothing else: every
+// trigger instruction still executes and costs its time. A one-shot run
+// detached ends at the same virtual time, with the same kernel counters,
+// as the run with the card attached, and the card stores nothing. Plugged
+// back in, it captures again.
 func TestDetachKeepsTriggerCostOnly(t *testing.T) {
-	m := NewMachine(kernel.Config{Seed: 1})
-	s, err := NewSession(m, ProfileConfig{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(detach bool) (*Machine, *Session, sim.Time) {
+		m := NewMachine(kernel.Config{Seed: 1})
+		s, err := NewSession(m, ProfileConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Arm()
+		if detach {
+			s.Detach()
+		}
+		m.K.Spawn("worker", func(p *kernel.Proc) {
+			for i := 0; i < 50; i++ {
+				m.K.Syscall(p, func() {
+					blk := m.Alloc.Malloc(256)
+					m.Alloc.Free(blk)
+					m.K.Advance(100 * sim.Microsecond)
+				})
+				p.Yield()
+			}
+		})
+		return m, s, m.K.RunUntilIdle(time500ms)
 	}
-	s.Arm()
-	s.Detach()
-	m.K.Spawn("worker", func(p *kernel.Proc) {
-		m.K.Syscall(p, func() { m.K.Advance(sim.Millisecond) })
-	})
-	m.K.Run(20 * sim.Millisecond)
-	if s.Card.Stored() != 0 {
-		t.Fatalf("detached card stored %d events", s.Card.Stored())
+	am, as, attachedEnd := run(false)
+	dm, ds, detachedEnd := run(true)
+	if as.Card.Stored() == 0 {
+		t.Fatal("attached card captured nothing")
 	}
-	s.Reattach()
-	m.K.Spawn("worker2", func(p *kernel.Proc) {
-		m.K.Syscall(p, func() { m.K.Advance(sim.Millisecond) })
+	if ds.Card.Stored() != 0 {
+		t.Fatalf("detached card stored %d events", ds.Card.Stored())
+	}
+	if detachedEnd != attachedEnd {
+		t.Fatalf("detached run ended at %v, attached at %v: the trigger instructions' time went missing", detachedEnd, attachedEnd)
+	}
+	if dm.K.Stats != am.K.Stats {
+		t.Fatalf("detached kernel stats %+v, attached %+v", dm.K.Stats, am.K.Stats)
+	}
+
+	ds.Reattach()
+	dm.K.Spawn("worker2", func(p *kernel.Proc) {
+		dm.K.Syscall(p, func() { dm.K.Advance(sim.Millisecond) })
 	})
-	m.K.Run(40 * sim.Millisecond)
-	if s.Card.Stored() == 0 {
+	dm.K.Run(dm.K.Now() + 20*sim.Millisecond)
+	if ds.Card.Stored() == 0 {
 		t.Fatal("reattached card captured nothing")
 	}
 }

@@ -13,10 +13,15 @@ import (
 // the battery-backed Smart-Sockets are pulled and read out on a host, the
 // data arrives as five independent bank images. These helpers convert
 // between the record list and the bank images, and define the simple
-// host-side file format used to move captures around.
+// host-side file format used to move captures around. A card with a wider
+// timer fits one more chip per 8 timer bits (Config.Banks); its socket
+// readout reads them all.
 
-// NumBanks is the number of 8-bit RAM chips on the card.
+// NumBanks is the number of 8-bit RAM chips on the prototype card.
 const NumBanks = 5
+
+// maxBanks is the chip count of the widest card: a 32-bit timer.
+const maxBanks = 2 + 32/8
 
 // EncodeBanks lays the records out across the five RAM chip images:
 // bank 0 = tag low byte, bank 1 = tag high byte,
@@ -39,32 +44,37 @@ func EncodeBanks(records []Record) [NumBanks][]byte {
 // DecodeBanks reassembles records from five RAM chip images. All banks must
 // be the same length.
 func DecodeBanks(banks [NumBanks][]byte) ([]Record, error) {
-	return DecodeBanksInto(banks, nil)
-}
-
-// DecodeBanksInto reassembles records into dst's backing array, allocating
-// only when its capacity is too small — the recycling drain loop's variant
-// (see ReadoutViaSocketInto). dst's length is ignored; the returned slice
-// holds exactly the decoded records.
-func DecodeBanksInto(banks [NumBanks][]byte, dst []Record) ([]Record, error) {
 	n := len(banks[0])
 	for i := 1; i < NumBanks; i++ {
 		if len(banks[i]) != n {
 			return nil, fmt.Errorf("hw: bank %d has %d bytes, bank 0 has %d", i, len(banks[i]), n)
 		}
 	}
-	if cap(dst) < n {
-		dst = make([]Record, n)
-	} else {
-		dst = dst[:n]
-	}
+	return decodeLanes(banks[:], nil), nil
+}
+
+// decodeLanes reassembles records from equal-length bank images: banks 0
+// and 1 hold the tag's low and high byte, bank 2+i stamp bits 8i to 8i+7.
+// It lands them in dst as sizeRecords does.
+func decodeLanes(banks [][]byte, dst []Record) []Record {
+	dst = sizeRecords(dst, len(banks[0]))
 	for i := range dst {
-		dst[i] = Record{
-			Tag:   uint16(banks[0][i]) | uint16(banks[1][i])<<8,
-			Stamp: uint32(banks[2][i]) | uint32(banks[3][i])<<8 | uint32(banks[4][i])<<16,
+		r := Record{Tag: uint16(banks[0][i]) | uint16(banks[1][i])<<8}
+		for b, lane := range banks[2:] {
+			r.Stamp |= uint32(lane[i]) << (8 * b)
 		}
+		dst[i] = r
 	}
-	return dst, nil
+	return dst
+}
+
+// sizeRecords returns n records of storage: dst's backing array when it is
+// large enough, otherwise a fresh slice of exactly n.
+func sizeRecords(dst []Record, n int) []Record {
+	if cap(dst) < n {
+		return make([]Record, n)
+	}
+	return dst[:n]
 }
 
 // Raw capture file format: a fixed header followed by packed records.

@@ -38,6 +38,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Banks reports how many 8-bit RAM chips hold one record: two for the tag
+// and one per 8 timer bits — five on the prototype, six at most.
+func (c Config) Banks() int { return 2 + int(c.TimerBits+7)/8 }
+
 // Wrap reports the timer modulus.
 func (c Config) Wrap() uint32 { return 1 << c.TimerBits }
 

@@ -186,30 +186,38 @@ func (k *Kernel) CallCost(fn *Fn, cost sim.Time) {
 
 // Inline fires a single inline trigger (the paper's asm-macro mechanism,
 // marked '=' in the name/tag file). addr must have been assigned by the
-// instrumentation pass; an addr of 0 means "not instrumented" and only the
-// (negligible) cost is skipped too.
+// instrumentation pass; an addr of 0 means "not instrumented", and then
+// there is no instruction to pay for either.
 func (k *Kernel) Inline(addr uint32) {
-	if addr == 0 || k.trig == nil {
+	if addr == 0 {
 		return
 	}
-	k.Advance(k.costs.trigger)
-	k.trig(addr)
+	k.load(addr)
 }
 
 func (k *Kernel) fireTrigger(fn *Fn, addr uint32) {
-	if !fn.instrumented || k.trig == nil {
+	if !fn.instrumented {
 		return
 	}
-	// The trigger is one extra instruction: ~400 ns on the 40 MHz 386.
+	k.load(addr)
+}
+
+// load executes one trigger instruction: ~400 ns on the 40 MHz 386, then
+// the bus read the card latches — unless the card is unplugged, when the
+// instruction still executes but nothing is on the bus to see it.
+func (k *Kernel) load(addr uint32) {
 	k.Advance(k.costs.trigger)
-	k.trig(addr)
+	if k.trig != nil {
+		k.trig(addr)
+	}
 }
 
 // SetTrigger connects the kernel's trigger loads to the bus (in practice, to
 // the EPROM socket's Read). A nil trig detaches the Profiler; instrumented
 // kernels then still pay the trigger instruction cost, faithfully to the
 // real system where the movb executes whether or not the card is plugged in.
-// Pass zero cost to model a kernel compiled without profiling at all.
+// A kernel compiled without profiling has no instrumented functions
+// (ClearTriggers) and pays nothing.
 func (k *Kernel) SetTrigger(trig TriggerFunc) { k.trig = trig }
 
 // Advance moves virtual time forward by cost, delivering any device events
@@ -217,9 +225,23 @@ func (k *Kernel) SetTrigger(trig TriggerFunc) { k.trig = trig }
 // suspends the remaining cost, runs the handler (which advances time
 // itself), and then resumes: total elapsed time grows by the handler time,
 // exactly as a real CPU is delayed by an interrupt.
+//
+// Most intervals are quiet: no event falls due by their end and nothing is
+// deliverable, so Advance only moves the clock. That is exactly what the
+// full loop below does then: its first pass finds the earliest event past
+// the end and moves the clock there, RunDue finds no event at or before
+// the end, and dispatchInterrupts finds no admissible line (mayDeliver
+// never misses one) and no admissible soft interrupt. An event exactly at
+// the end, Advance(0) with an event due now, and anything mayDeliver
+// cannot rule out take the full loop.
 func (k *Kernel) Advance(cost sim.Time) {
 	if cost < 0 {
 		panic("kernel: negative cost")
+	}
+	end := k.sched.Now() + cost
+	if next, ok := k.sched.NextAt(); (!ok || next > end) && !k.mayDeliver() {
+		k.sched.AdvanceTo(end)
+		return
 	}
 	remaining := cost
 	for remaining > 0 {

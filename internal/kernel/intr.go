@@ -8,7 +8,7 @@ import "fmt"
 // the borrowed-context model of real interrupt delivery.
 type IRQ struct {
 	Name    string
-	Class   SPL    // the mask bit that blocks this line
+	Class   SPL    // the mask bit that blocks this line; fixed at registration
 	RunAt   SPL    // additional classes blocked while the handler runs
 	Handler func() // device interrupt service routine
 	pri     int    // delivery order among simultaneously pending lines
@@ -22,10 +22,14 @@ type IRQ struct {
 }
 
 // RegisterIRQ installs an interrupt line. Lower pri is delivered first when
-// several lines are pending.
+// several lines are pending. A line needs a class: one no mask can block
+// would make every instant a delivery point.
 func (k *Kernel) RegisterIRQ(name string, class SPL, runAt SPL, pri int, handler func()) *IRQ {
 	if handler == nil {
 		panic("kernel: nil interrupt handler for " + name)
+	}
+	if class == 0 {
+		panic("kernel: interrupt line " + name + " has no class")
 	}
 	irq := &IRQ{Name: name, Class: class, RunAt: runAt, Handler: handler, pri: pri}
 	k.irqs = append(k.irqs, irq)
@@ -37,22 +41,43 @@ func (k *Kernel) RegisterIRQ(name string, class SPL, runAt SPL, pri int, handler
 func (k *Kernel) Raise(irq *IRQ) {
 	irq.Raised++
 	irq.pending = true
+	k.pendClass |= irq.Class
 }
 
 // Pending reports whether the line is latched awaiting delivery.
 func (irq *IRQ) Pending() bool { return irq.pending }
 
+// nextDeliverable picks the pending line the mask admits with the lowest
+// pri, and recomputes pendClass on the way.
 func (k *Kernel) nextDeliverable() *IRQ {
 	var best *IRQ
+	var pend SPL
 	for _, irq := range k.irqs {
-		if !irq.pending || k.spl&irq.Class != 0 {
+		if !irq.pending {
+			continue
+		}
+		pend |= irq.Class
+		if k.spl&irq.Class != 0 {
 			continue
 		}
 		if best == nil || irq.pri < best.pri {
 			best = irq
 		}
 	}
+	k.pendClass = pend
 	return best
+}
+
+// mayDeliver reports whether dispatchInterrupts could run anything now: a
+// pending line with a class bit the mask leaves open, or pending soft
+// interrupts with soft-net unmasked. It errs only towards yes — a line
+// whose class is partly masked, or the class of a line already delivered —
+// and never says no when a line or a soft interrupt is deliverable: a
+// deliverable line's class is nonzero (RegisterIRQ), inside pendClass and
+// disjoint from the mask, and the soft term is runSoftIntrs' own loop
+// condition.
+func (k *Kernel) mayDeliver() bool {
+	return k.pendClass&^k.spl != 0 || (k.softPend != 0 && k.spl&MaskSoftNet == 0)
 }
 
 // dispatchInterrupts delivers every deliverable hardware interrupt, then

@@ -74,12 +74,16 @@ type Kernel struct {
 	// Profiler connection.
 	trig TriggerFunc
 
-	// Interrupts.
-	spl      SPL
-	irqs     []*IRQ
-	intrNest int
-	softPend uint32 // pending soft-interrupt bits (netisr style)
-	softs    map[uint32]*softIntr
+	// Interrupts. pendClass is the union of the pending lines' classes:
+	// Raise adds a line's class and every delivery scan recomputes it, so
+	// between scans it may still hold the class of a line just delivered,
+	// but never lacks one of a line still pending.
+	spl       SPL
+	irqs      []*IRQ
+	pendClass SPL
+	intrNest  int
+	softPend  uint32 // pending soft-interrupt bits (netisr style)
+	softs     map[uint32]*softIntr
 
 	// Scheduling.
 	procs      []*Proc

@@ -104,13 +104,18 @@ go test -count=1 -run 'TestGoldenPGO' .
 echo "== fuzz smoke =="
 # The capture reader faces saved files from disk: its corpus replays here,
 # including a header that claims 2^32-1 records, and it is fuzzed beside
-# the segment-boundary decoder.
+# the segment-boundary decoder. The two capture-path shortcuts are held to
+# the paths they replace: Advance's quiet path against the full event and
+# interrupt scan, the single-copy readout against the per-byte readout.
 go test -run 'FuzzDecodeUnwrap|FuzzSegmentBoundary|FuzzFaultedDecode|FuzzProdayDecode' ./internal/analyze/
 go test -run 'FuzzReadArtifact' ./internal/bench/
-go test -run 'FuzzReadCapture' ./internal/hw/
+go test -run 'FuzzReadCapture|FuzzReadoutCopy' ./internal/hw/
+go test -run 'FuzzAdvanceQuiet' ./internal/kernel/
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 10s ./internal/analyze/
 	go test -run FuzzReadCapture -fuzz FuzzReadCapture -fuzztime 10s ./internal/hw/
+	go test -run FuzzReadoutCopy -fuzz FuzzReadoutCopy -fuzztime 10s ./internal/hw/
+	go test -run FuzzAdvanceQuiet -fuzz FuzzAdvanceQuiet -fuzztime 10s ./internal/kernel/
 fi
 
 echo "== coverage floors =="
