@@ -153,14 +153,22 @@ func TestReadoutModeDisablesLatching(t *testing.T) {
 	}
 }
 
+// Only the card's own banks can be selected: five on the prototype, six on
+// a 32-bit timer.
 func TestSelectBankValidation(t *testing.T) {
-	p := New(8, sim.NewScheduler().Now)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.SelectBank(5)
+	for _, bits := range []uint{24, 32} {
+		p := NewWithConfig(Config{Depth: 8, TimerBits: bits}, sim.NewScheduler().Now)
+		last := p.Config().Banks() - 1
+		p.SelectBank(last)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d bits: bank %d selected", bits, last+1)
+				}
+			}()
+			p.SelectBank(last + 1)
+		}()
+	}
 }
 
 func TestReadoutPastEndReadsFF(t *testing.T) {
