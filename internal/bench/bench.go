@@ -33,6 +33,7 @@ import (
 	"kprof/internal/pgo"
 	"kprof/internal/sim"
 	"kprof/internal/sweep"
+	"kprof/internal/tagfile"
 	"kprof/internal/workload"
 )
 
@@ -176,6 +177,30 @@ func fillCapture(seed uint64) (hw.Capture, *core.Session, error) {
 	return c, s, nil
 }
 
+// drainedSegments runs netrecv for 4 s under continuous capture at the
+// card's full depth, as `kprof -scenario netrecv-long -drain -duration 4s`
+// does, and returns the retained segments and their tag file.
+func drainedSegments(seed uint64) ([]hw.Capture, *tagfile.File, error) {
+	m := core.NewMachine(kernel.Config{Seed: seed})
+	s, err := core.NewSession(m, core.ProfileConfig{Mode: core.CaptureContinuous})
+	if err != nil {
+		return nil, nil, err
+	}
+	s.Arm()
+	if _, err := workload.NetReceive(m, 4*sim.Second); err != nil {
+		return nil, nil, err
+	}
+	s.Disarm()
+	segs := make([]hw.Capture, 0, len(s.Segments()))
+	for _, seg := range s.Segments() {
+		segs = append(segs, seg.Capture)
+	}
+	if len(segs) == 0 {
+		return nil, nil, fmt.Errorf("bench: drained capture kept no segment")
+	}
+	return segs, s.Tags, nil
+}
+
 // Run executes the benchmark suite and assembles the report.
 func Run(cfg Config) (*Report, error) {
 	rep := &Report{
@@ -237,6 +262,40 @@ func Run(cfg Config) (*Report, error) {
 		}))
 	if sink == nil || sink.Stats.Records != c.Len() {
 		return nil, fmt.Errorf("bench: decode/full dropped records")
+	}
+
+	// decode/drained: the background decoder's work on the command line's
+	// drained capture — a folding reconstructor fed the retained segments
+	// of one 4 s netrecv run, one PushBatch and one EndSegment per segment,
+	// then Finish. decode/steady and decode/full push one record at a time
+	// through Push, which no drain runs; this row isolates the batch decode
+	// and the profile fold every drained capture pays.
+	segs, segTags, err := drainedSegments(cfg.seed())
+	if err != nil {
+		return nil, err
+	}
+	drainedRecords := 0
+	for _, seg := range segs {
+		drainedRecords += seg.Len()
+	}
+	drainedIters := 20
+	if cfg.Quick {
+		drainedIters = 6
+	}
+	var drained *analyze.Analysis
+	rep.Benchmarks = append(rep.Benchmarks,
+		measure("decode/drained", drainedRecords, 2, drainedIters, func() {
+			rc := analyze.NewReconstructor(segs[0].ClockConfig(), segTags, analyze.ReconstructOptions{
+				Repair: analyze.DefaultRepair(),
+			})
+			for _, seg := range segs {
+				rc.PushBatch(seg.Records)
+				rc.EndSegment(seg.Dropped, seg.Overflowed)
+			}
+			drained = rc.Finish(false, 0)
+		}))
+	if drained.Stats.Records != drainedRecords {
+		return nil, fmt.Errorf("bench: decode/drained dropped records")
 	}
 
 	// capture/drain: the drain-and-stitch pipeline end to end — simulate,

@@ -21,7 +21,7 @@ func TestRunQuick(t *testing.T) {
 	if rep.Schema != Schema {
 		t.Fatalf("schema = %q, want %q", rep.Schema, Schema)
 	}
-	want := []string{"decode/steady", "decode/full", "capture/drain", "capture/analyze", "sweep/multiseed", "scenario/proday", "fleet/ingest",
+	want := []string{"decode/steady", "decode/full", "decode/drained", "capture/drain", "capture/analyze", "sweep/multiseed", "scenario/proday", "fleet/ingest",
 		"pgo/plan", "serve/status_cached", "serve/status_uncached", "serve/sse_fanout"}
 	if len(rep.Benchmarks) != len(want) {
 		t.Fatalf("got %d benchmarks, want %d", len(rep.Benchmarks), len(want))
