@@ -7,10 +7,12 @@
 package analyze_test
 
 import (
+	"bytes"
 	"testing"
 
 	"kprof/internal/analyze"
 	"kprof/internal/core"
+	"kprof/internal/export"
 	"kprof/internal/hw"
 	"kprof/internal/kernel"
 	"kprof/internal/sim"
@@ -47,7 +49,11 @@ func prodayCapture(tb testing.TB) (hw.Capture, *tagfile.File) {
 // FuzzProdayDecode streams mutated proday records through the hardened
 // pipeline. Beyond FuzzFaultedDecode's generic invariants, it checks the
 // deep-nesting accounting: no function's timed calls exceed its calls and
-// segment totals stay within the capture.
+// segment totals stay within the capture. The records go in one Push at a
+// time and, into a second reconstructor, one PushBatch per segment, and the
+// two must agree to the pprof byte: proday's switches and adoptions are
+// where a step reading the batch path's reused event after its next fill
+// would diverge.
 func FuzzProdayDecode(f *testing.F) {
 	c, tags := prodayCapture(f)
 	recs := c.Records
@@ -74,16 +80,32 @@ func FuzzProdayDecode(f *testing.F) {
 		if split > 0 {
 			segLen = len(recs)/int(split%8+2) + 1
 		}
-		rc := analyze.NewReconstructor(hw.Config{}, tags, analyze.ReconstructOptions{
-			Repair: analyze.DefaultRepair(),
-		})
-		for i, r := range recs {
-			rc.Push(r)
-			if (i+1)%segLen == 0 && i+1 < len(recs) {
+		opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
+		rc := analyze.NewReconstructor(hw.Config{}, tags, opts)
+		rb := analyze.NewReconstructor(hw.Config{}, tags, opts)
+		for lo := 0; lo < len(recs); lo += segLen {
+			hi := min(lo+segLen, len(recs))
+			for _, r := range recs[lo:hi] {
+				rc.Push(r)
+			}
+			rb.PushBatch(recs[lo:hi])
+			if hi < len(recs) {
 				rc.EndSegment(uint64(split%2), false)
+				rb.EndSegment(uint64(split%2), false)
 			}
 		}
 		a := rc.Finish(false, 0)
+		b := rb.Finish(false, 0)
+		if b.Stats != a.Stats || b.Idle != a.Idle || b.Switches != a.Switches {
+			t.Fatalf("PushBatch diverges from Push: stats %+v idle %v switches %d, want %+v idle %v switches %d",
+				b.Stats, b.Idle, b.Switches, a.Stats, a.Idle, a.Switches)
+		}
+		if got, want := b.SummaryString(0), a.SummaryString(0); got != want {
+			t.Fatalf("PushBatch summary differs from Push:\n--- Push\n%s--- PushBatch\n%s", want, got)
+		}
+		if !bytes.Equal(export.MarshalPprof(b, export.PprofOptions{}), export.MarshalPprof(a, export.PprofOptions{})) {
+			t.Fatal("PushBatch pprof differs from Push")
+		}
 
 		if a.Stats.Records != len(recs) {
 			t.Fatalf("decoded %d records of %d", a.Stats.Records, len(recs))

@@ -12,10 +12,14 @@ import (
 // export made over a finished trace before the reconstruction folded the
 // profile itself. It visits every root that exited at depth 0, in trace
 // order, and each tree in pre-order (a node, then its callees in entry
-// order), numbering functions by name as it first meets them.
+// order), numbering functions by name as it first meets them. It keys its
+// trie in a map of its own rather than through Profile.path, so a fault in
+// the fold's lookup shows as a difference.
 func walkProfile(a *Analysis) *Profile {
 	ref := &Profile{}
 	ids := map[string]int32{}
+	type edge struct{ parent, fn int32 }
+	paths := map[edge]int32{}
 	var walk func(parent int32, n *Node)
 	walk = func(parent int32, n *Node) {
 		id, ok := ids[n.Name]
@@ -24,7 +28,12 @@ func walkProfile(a *Analysis) *Profile {
 			id = int32(len(ref.funcs))
 			ids[n.Name] = id
 		}
-		ix := ref.path(parent, id)
+		ix, ok := paths[edge{parent, id}]
+		if !ok {
+			ix = int32(len(ref.paths))
+			ref.paths = append(ref.paths, ProfilePath{Parent: parent, Fn: id})
+			paths[edge{parent, id}] = ix
+		}
 		if n.Complete {
 			p := &ref.paths[ix]
 			if p.Calls == 0 {

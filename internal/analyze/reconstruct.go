@@ -358,8 +358,9 @@ func (r *reconstructor) freeStack(st *stack) {
 }
 
 // feed processes one decoded event: the first one starts the timeline,
-// and each one extends it.
-func (r *reconstructor) feed(ev Event) {
+// and each one extends it. The reconstruction reads ev only until feed
+// returns; its caller may refill it for the next record.
+func (r *reconstructor) feed(ev *Event) {
 	if !r.haveStart {
 		r.a.Start, r.lastSwitchIn, r.haveStart = ev.Time, ev.Time, true
 	}
@@ -413,14 +414,14 @@ func (r *reconstructor) fnStatOf(name string, idx int32) *FnStat {
 	return s
 }
 
-func (r *reconstructor) item(ev Event, kind TraceKind, n *Node, depth int) {
+func (r *reconstructor) item(ev *Event, kind TraceKind, n *Node, depth int) {
 	if r.mode != traceMode {
 		return
 	}
 	r.a.trace.items = append(r.a.trace.items, TraceItem{Time: ev.Time, Node: n, Depth: int32(depth), Kind: kind})
 }
 
-func (r *reconstructor) step(ev Event) {
+func (r *reconstructor) step(ev *Event) {
 	switch {
 	case ev.Kind == Unknown:
 		return
@@ -439,7 +440,7 @@ func (r *reconstructor) step(ev Event) {
 
 // switchOut: the process entered swtch. Its stack parks; the CPU is idle
 // (apart from interrupts) until the next swtch exit.
-func (r *reconstructor) switchOut(ev Event) {
+func (r *reconstructor) switchOut(ev *Event) {
 	r.a.Switches++
 	// The switcher is whatever the name/tag file marked '!' — not
 	// necessarily named "swtch"; flag its stat so reports and the sweep
@@ -468,7 +469,7 @@ func (r *reconstructor) switchOut(ev Event) {
 
 // switchIn: some process came out of swtch; which one becomes clear from
 // the next orphan exit (or doesn't, in which case it is a fresh context).
-func (r *reconstructor) switchIn(ev Event) {
+func (r *reconstructor) switchIn(ev *Event) {
 	if r.idleOpen {
 		idle := ev.Time - r.idleStart - r.idleIntr
 		if idle < 0 {
@@ -522,7 +523,7 @@ func (r *reconstructor) contextStack() *stack {
 	return r.current
 }
 
-func (r *reconstructor) enter(ev Event) {
+func (r *reconstructor) enter(ev *Event) {
 	if r.pending {
 		// New frames in an unresolved block accumulate on a fresh
 		// current stack; resolution may later splice them.
@@ -535,7 +536,7 @@ func (r *reconstructor) enter(ev Event) {
 
 // pendingEnter handles an entry during pending-resume: frames stack up
 // normally on a tentative current stack; reports whether still pending.
-func (r *reconstructor) pendingEnter(ev Event) bool {
+func (r *reconstructor) pendingEnter(ev *Event) bool {
 	if r.current == nil {
 		r.current = r.newStack()
 	}
@@ -543,7 +544,7 @@ func (r *reconstructor) pendingEnter(ev Event) bool {
 	return true // stays pending until an orphan exit or next switch
 }
 
-func (r *reconstructor) push(st *stack, ev Event) {
+func (r *reconstructor) push(st *stack, ev *Event) {
 	n := r.newNode(ev.Name, ev.Time, ev.fnIdx)
 	if r.mode != leanMode && len(st.open) > 0 {
 		st.open[len(st.open)-1].addChild(n)
@@ -553,7 +554,7 @@ func (r *reconstructor) push(st *stack, ev Event) {
 	r.item(ev, TraceEnter, n, depth)
 }
 
-func (r *reconstructor) inline(ev Event) {
+func (r *reconstructor) inline(ev *Event) {
 	st := r.contextStack()
 	s := r.fnStatOf(ev.Name, ev.fnIdx)
 	s.Inlines++
@@ -569,7 +570,7 @@ func (r *reconstructor) inline(ev Event) {
 	r.item(ev, TraceInline, s.mark, len(st.open))
 }
 
-func (r *reconstructor) exit(ev Event) {
+func (r *reconstructor) exit(ev *Event) {
 	if r.idleOpen {
 		// Interrupt activity inside swtch.
 		if r.closeOn(r.idleStack, ev, true) {
@@ -612,7 +613,7 @@ func (r *reconstructor) exit(ev Event) {
 // adopt resolves pending-resume onto suspended stack i: credit its frames
 // with the out-of-context interval, splice tentative children, close the
 // matching frame.
-func (r *reconstructor) adopt(i int, ev Event) {
+func (r *reconstructor) adopt(i int, ev *Event) {
 	st := r.suspended[i]
 	copy(r.suspended[i:], r.suspended[i+1:])
 	r.suspended[len(r.suspended)-1] = nil
@@ -699,7 +700,7 @@ func (r *reconstructor) exitRoot(st *stack, n *Node) {
 // closeOn closes the frame named by ev on st. With recovery enabled,
 // a mismatched exit force-closes intervening frames (lost events); it
 // reports whether the exit was consumed.
-func (r *reconstructor) closeOn(st *stack, ev Event, recover bool) bool {
+func (r *reconstructor) closeOn(st *stack, ev *Event, recover bool) bool {
 	idx := -1
 	for i := len(st.open) - 1; i >= 0; i-- {
 		if st.open[i].Name == ev.Name {

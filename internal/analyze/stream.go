@@ -38,6 +38,11 @@ type Reconstructor struct {
 	// emitFn is the emit callback bound once at construction, so the
 	// per-record Push never materializes a method value.
 	emitFn func(Event)
+	// ev is the event PushBatch decodes each record into and hands down
+	// the reconstruction by address: one per reconstructor, refilled for
+	// every record, so no record's event is copied from call to call.
+	// Nothing in the reconstruction keeps the address past the record.
+	ev Event
 	// segStart/segCorrupt are the decoder's record and corrupt counts at
 	// the current segment's first record, so EndSegment can size the
 	// segment and attribute its corruption.
@@ -81,7 +86,7 @@ func (rc *Reconstructor) Push(r hw.Record) {
 	rc.dec.Push(r, rc.emitFn)
 }
 
-func (rc *Reconstructor) emit(ev Event) { rc.rec.feed(ev) }
+func (rc *Reconstructor) emit(ev Event) { rc.rec.feed(&ev) }
 
 // PushBatch decodes a whole drained bank at once. The drain loop hands a
 // bank's records in a single call, so the timestamp unwrap runs as one
@@ -98,13 +103,14 @@ func (rc *Reconstructor) PushBatch(rs []hw.Record) {
 	if rc.finished {
 		panic("analyze: PushBatch after Finish")
 	}
-	d, rec := rc.dec, rc.rec
+	d, rec, ev := rc.dec, rc.rec, &rc.ev
 	i := 0
 	if d.first && len(rs) > 0 {
 		d.records++
 		d.first = false
 		d.last = rs[0].Stamp
-		rec.feed(d.event(rs[0], d.now, false))
+		d.fill(ev, rs[0], d.now, false)
+		rec.feed(ev)
 		i = 1
 	}
 	for i < len(rs) {
@@ -118,7 +124,8 @@ func (rc *Reconstructor) PushBatch(rs []hw.Record) {
 				d.records++
 				d.now += sim.Time(delta) * d.tick
 				d.last = r.Stamp
-				rec.feed(d.event(r, d.now, false))
+				d.fill(ev, r, d.now, false)
+				rec.feed(ev)
 			}
 			if i >= len(rs) {
 				return

@@ -46,7 +46,10 @@ echo "== background drain decoder under the race detector =="
 # glitched drains, recycled and retained, streamed against a serial
 # Stitch, mid-run analysis), the decoder join and the allocation ceiling
 # must hold with the race detector watching those hand-offs; the streamed
-# tests repeat under one, two and four procs.
+# tests repeat under one, two and four procs. The mid-run test observes
+# once right after the first drain, before the batch channel orders the
+# decoder's work before the caller, so it holds the decoder to reading
+# only what the session built before starting it (the tag file's table).
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestRecycle|TestGlitchedDrain|TestDrainZeroAlloc' \
@@ -107,12 +110,18 @@ echo "== fuzz smoke =="
 # the segment-boundary decoder. The two capture-path shortcuts are held to
 # the paths they replace: Advance's quiet path against the full event and
 # interrupt scan, the single-copy readout against the per-byte readout.
+# The drain decoder's batch path, which reuses one event per
+# reconstructor, is held to the record-at-a-time path on netrecv and
+# proday streams. Those two fuzzers find new inputs within seconds, and
+# minimizing each one unbounded would take the whole run, so it is capped.
 go test -run 'FuzzDecodeUnwrap|FuzzSegmentBoundary|FuzzFaultedDecode|FuzzProdayDecode' ./internal/analyze/
 go test -run 'FuzzReadArtifact' ./internal/bench/
 go test -run 'FuzzReadCapture|FuzzReadoutCopy' ./internal/hw/
 go test -run 'FuzzAdvanceQuiet' ./internal/kernel/
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 10s ./internal/analyze/
+	go test -run FuzzFaultedDecode -fuzz FuzzFaultedDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/analyze/
+	go test -run FuzzProdayDecode -fuzz FuzzProdayDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/analyze/
 	go test -run FuzzReadCapture -fuzz FuzzReadCapture -fuzztime 10s ./internal/hw/
 	go test -run FuzzReadoutCopy -fuzz FuzzReadoutCopy -fuzztime 10s ./internal/hw/
 	go test -run FuzzAdvanceQuiet -fuzz FuzzAdvanceQuiet -fuzztime 10s ./internal/kernel/
