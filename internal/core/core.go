@@ -74,15 +74,37 @@ func (m *Machine) NFS() (*nfs.Client, error) {
 // CaptureMode selects how a Session manages the card's finite RAM.
 type CaptureMode int
 
+// captureModeNames holds each mode's name as MarshalText returns it:
+// built once, so encoding a progress snapshot allocates nothing for it.
+var captureModeNames = [...][]byte{
+	CaptureOneShot:    []byte("one-shot"),
+	CaptureContinuous: []byte("continuous"),
+}
+
 // String names the mode ("one-shot" or "continuous").
 func (m CaptureMode) String() string {
-	switch m {
-	case CaptureOneShot:
-		return "one-shot"
-	case CaptureContinuous:
-		return "continuous"
+	b, _ := m.MarshalText()
+	return string(b)
+}
+
+// MarshalText encodes the mode by name, the form /status.json serves.
+// The returned slice is shared and must not be modified.
+func (m CaptureMode) MarshalText() ([]byte, error) {
+	if m >= 0 && int(m) < len(captureModeNames) {
+		return captureModeNames[m], nil
 	}
-	return fmt.Sprintf("CaptureMode(%d)", int(m))
+	return fmt.Appendf(nil, "CaptureMode(%d)", int(m)), nil
+}
+
+// UnmarshalText decodes a mode name; an unknown name is an error.
+func (m *CaptureMode) UnmarshalText(text []byte) error {
+	for i, name := range captureModeNames {
+		if string(text) == string(name) {
+			*m = CaptureMode(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown capture mode %q", text)
 }
 
 const (
@@ -244,37 +266,46 @@ type Session struct {
 // Progress is a point-in-time snapshot of a session's capture state,
 // delivered to the callback registered with SetProgress. It is the feed
 // for live observability (export.StatusServer): fill level, drained
-// segments and loss counters while a long continuous capture runs.
+// segments and loss counters while a long continuous capture runs. Its
+// JSON form is the "session" section of /status.json and the payload of
+// a "session" event, so the field order and tags are that wire format;
+// loss counters use the repository-wide dropped_strobes name (see
+// DESIGN.md).
 type Progress struct {
-	// Now is the machine's virtual time at the snapshot.
-	Now sim.Time
+	// NowUS is the machine's virtual time at the snapshot, in whole
+	// microseconds.
+	NowUS int64 `json:"now_us"`
 	// Armed reports whether the card is capturing; Mode is the session's
 	// capture mode.
-	Armed bool
-	Mode  CaptureMode
-	// Stored and Depth are the card RAM's fill state; Overflowed reports
-	// the overflow LED.
-	Stored     int
-	Depth      int
-	Overflowed bool
+	Armed bool        `json:"armed"`
+	Mode  CaptureMode `json:"mode"`
+	// Stored and Depth are the card RAM's fill state, and FillPct is
+	// Stored as a percentage of Depth; Overflowed reports the overflow
+	// LED.
+	Stored     int     `json:"stored"`
+	Depth      int     `json:"depth"`
+	FillPct    float64 `json:"fill_pct"`
+	Overflowed bool    `json:"overflowed"`
 	// Segments counts host-side drained segments so far, holding
 	// SegmentRecords records in total.
-	Segments       int
-	SegmentRecords int
+	Segments       int `json:"segments"`
+	SegmentRecords int `json:"drained_records"`
 	// Dropped counts every strobe lost so far: the card's current drop
 	// counter plus the losses attached to already-drained segments.
-	Dropped uint64
+	Dropped uint64 `json:"dropped_strobes"`
 	// FaultsInjected counts corruptions the session's fault injector has
-	// applied so far (zero when no injector is attached).
-	FaultsInjected uint64
+	// applied so far (zero, and absent from the JSON, when no injector is
+	// attached or none has fired).
+	FaultsInjected uint64 `json:"faults_injected,omitempty"`
 	// DrainErrs counts drains whose readout failed verification so far;
 	// each one stranded a bank, accounted as dropped strobes above.
-	DrainErrs int
+	// Absent from the JSON while every drain read back clean.
+	DrainErrs int `json:"drain_errors,omitempty"`
 	// Gen is a session-monotonic snapshot sequence number: it increments
 	// by exactly one per delivered snapshot, so a consumer can order
 	// snapshots and invalidate caches (export.StatusServer's ETag
 	// generations) without comparing every field.
-	Gen uint64
+	Gen uint64 `json:"gen"`
 }
 
 // SetProgress registers fn to observe the session's capture state: it
@@ -307,7 +338,7 @@ func (s *Session) notifyProgress() {
 		return
 	}
 	p := Progress{
-		Now:            s.M.K.Now(),
+		NowUS:          s.M.K.Now().Micros(),
 		Armed:          s.Card.Armed(),
 		Mode:           s.mode,
 		Stored:         s.Card.Stored(),
@@ -317,6 +348,9 @@ func (s *Session) notifyProgress() {
 		SegmentRecords: s.segRecords,
 		Dropped:        s.Card.Dropped + s.segDropped,
 		DrainErrs:      s.drainErrs,
+	}
+	if p.Depth > 0 {
+		p.FillPct = 100 * float64(p.Stored) / float64(p.Depth)
 	}
 	if s.injector != nil {
 		p.FaultsInjected = s.injector.Stats().Injected()

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"kprof/internal/fleet"
 	"kprof/internal/sim"
+	"kprof/internal/sweep"
 )
 
 func TestETagMatch(t *testing.T) {
@@ -163,6 +165,43 @@ func TestSubscribeInvalidatesStatus(t *testing.T) {
 	rec = condGet(t, srv, "/status.json", etag)
 	if rec.Code != 200 {
 		t.Fatalf("status after unsubscribe: code %d with old tag, want 200", rec.Code)
+	}
+}
+
+// Every publish moves /status.json's serving section, so every hook that
+// publishes must invalidate it: with a subscriber connected, a client
+// revalidating the tag it held before the hook gets a fresh body whose
+// events_published is the hub's count.
+func TestServingStatusFreshAfterPublish(t *testing.T) {
+	srv := NewStatusServer()
+	sub := srv.Subscribe()
+	defer sub.Close()
+	hooks := []struct {
+		name string
+		call func()
+	}{
+		{"SetScenario", func() { srv.SetScenario("netrecv") }},
+		{"SetState", func() { srv.SetState("running") }},
+		{"OnSessionProgress", func() { srv.OnSessionProgress(progressAt(1)) }},
+		{"OnSweepProgress", func() { srv.OnSweepProgress(sweep.Progress{Seeds: 2, Started: 1}) }},
+		{"OnFleetProgress", func() { srv.OnFleetProgress(fleet.Progress{SegmentsStaged: 1, Backlog: 1}) }},
+		{"OnFleetWindow", func() { srv.OnFleetWindow(fleet.WindowSummary{Index: 1, Records: 10}) }},
+	}
+	etag := condGet(t, srv, "/status.json", "").Header().Get("ETag")
+	for _, h := range hooks {
+		h.call()
+		rec := condGet(t, srv, "/status.json", etag)
+		if rec.Code != 200 {
+			t.Fatalf("after %s: code %d with the previous tag, want 200", h.name, rec.Code)
+		}
+		var snap StatusSnapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if want := srv.HubStats().Published; snap.Serving == nil || snap.Serving.Published != want {
+			t.Fatalf("after %s: serving section %+v, hub has published %d", h.name, snap.Serving, want)
+		}
+		etag = rec.Header().Get("ETag")
 	}
 }
 

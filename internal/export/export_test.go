@@ -489,10 +489,10 @@ func TestStatusServer(t *testing.T) {
 	srv.SetScenario("netrecv")
 	srv.SetState("running")
 	srv.OnSessionProgress(core.Progress{
-		Now:    12 * sim.Millisecond,
+		NowUS:  12000,
 		Armed:  true,
 		Mode:   core.CaptureContinuous,
-		Stored: 512, Depth: 1024,
+		Stored: 512, Depth: 1024, FillPct: 50,
 		Segments: 3, SegmentRecords: 3000, Dropped: 7,
 	})
 	srv.OnSweepProgress(sweep.Progress{
@@ -516,7 +516,7 @@ func TestStatusServer(t *testing.T) {
 	if snap.Scenario != "netrecv" || snap.State != "running" {
 		t.Fatalf("snapshot header %+v", snap)
 	}
-	if snap.Session == nil || !snap.Session.Armed || snap.Session.Mode != "continuous" {
+	if snap.Session == nil || !snap.Session.Armed || snap.Session.Mode != core.CaptureContinuous {
 		t.Fatalf("session status %+v", snap.Session)
 	}
 	if snap.Session.FillPct != 50 || snap.Session.Dropped != 7 {
@@ -581,7 +581,7 @@ func TestStatusServerLiveSession(t *testing.T) {
 	for _, seg := range s.Segments() {
 		want += seg.Capture.Len()
 	}
-	if st.DrainedRecords != want {
-		t.Fatalf("status saw %d drained records, segments hold %d", st.DrainedRecords, want)
+	if st.SegmentRecords != want {
+		t.Fatalf("status saw %d drained records, segments hold %d", st.SegmentRecords, want)
 	}
 }

@@ -78,10 +78,7 @@ func (s *StatusServer) OnFleetWindow(ws fleet.WindowSummary) {
 	}
 	p = s.ts.Load().pushWindow(p)
 	s.tsRes.invalidate()
-	if s.hub.active() {
-		data, _ := json.Marshal(p)
-		s.hub.publish("window", data)
-	}
+	s.update("window", func(*StatusSnapshot) any { return p })
 }
 
 // Timeseries returns the current time-series document (what

@@ -10,25 +10,26 @@ import (
 )
 
 // Progress is a point-in-time view of the ingest pipeline, delivered to
-// Config.OnProgress under the store's lock.
+// Config.OnProgress under the store's lock. Its JSON form is the "fleet"
+// section of export.StatusServer's /status.json.
 type Progress struct {
 	// Machines is the fleet size; MachinesDone counts machines whose
 	// streams have ended.
-	Machines     int
-	MachinesDone int
+	Machines     int `json:"machines"`
+	MachinesDone int `json:"machines_done"`
 	// SegmentsStaged and SegmentsCommitted are lifetime totals; Backlog
 	// is the staged-but-uncommitted count (bounded by Config.Staging).
-	SegmentsStaged    int
-	SegmentsCommitted int
-	Backlog           int
+	SegmentsStaged    int `json:"segments_staged"`
+	SegmentsCommitted int `json:"segments_committed"`
+	Backlog           int `json:"backlog"`
 	// RecordsCommitted and Dropped total the committed samples.
-	RecordsCommitted int
-	Dropped          uint64
+	RecordsCommitted int    `json:"records_committed"`
+	Dropped          uint64 `json:"dropped_strobes"`
 	// WatermarkUS is the fleet watermark in virtual microseconds: every
 	// machine's stream is committed at least this far.
-	WatermarkUS int64
+	WatermarkUS int64 `json:"watermark_us"`
 	// WindowsClosed counts closed aggregation windows.
-	WindowsClosed int
+	WindowsClosed int `json:"windows_closed"`
 }
 
 // machineState is one machine's staging queue and checkpoint.

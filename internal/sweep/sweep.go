@@ -57,22 +57,25 @@ type Config struct {
 }
 
 // Progress is one sweep scheduling event, delivered to Config.OnProgress.
+// Its JSON form is the "sweep" section of export.StatusServer's
+// /status.json and the payload of a "sweep" event.
 type Progress struct {
 	// Scenario and Seeds identify the sweep (Seeds is the total count).
-	Scenario string
-	Seeds    int
+	Scenario string `json:"scenario"`
+	Seeds    int    `json:"seeds"`
 	// Started counts seeds handed to workers so far; Done counts seeds
 	// finished. Started - Done seeds are in flight.
-	Started int
-	Done    int
-	// Seed is the seed this event concerns; Finished distinguishes its
-	// completion event from its pickup event.
-	Seed     uint64
-	Finished bool
+	Started int `json:"started"`
+	Done    int `json:"done"`
+	// Seed is the seed this event concerns, served as last_seed;
+	// Finished distinguishes its completion event from its pickup event
+	// and is not served.
+	Seed     uint64 `json:"last_seed"`
+	Finished bool   `json:"-"`
 	// Segments and Dropped accumulate finished seeds' drain-segment
 	// counts and dropped-strobe losses (always zero for one-shot sweeps).
-	Segments int
-	Dropped  uint64
+	Segments int    `json:"segments"`
+	Dropped  uint64 `json:"dropped_strobes"`
 }
 
 // FnSample is one function's footprint in a single seed's run.

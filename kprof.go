@@ -387,10 +387,12 @@ type (
 	// FleetConfig.OnWindow hooks.
 	StatusServer = export.StatusServer
 	// SessionProgress is one capture-state snapshot delivered to a
-	// Session.SetProgress hook.
+	// Session.SetProgress hook. Its JSON form is the "session" section
+	// of StatusServer's /status.json.
 	SessionProgress = core.Progress
 	// SweepProgress is one scheduling event delivered to a
-	// SweepConfig.OnProgress hook.
+	// SweepConfig.OnProgress hook. Its JSON form is the "sweep" section
+	// of StatusServer's /status.json.
 	SweepProgress = sweep.Progress
 	// ServingStats is the SSE hub's lifetime accounting: current
 	// subscribers, events published, slow clients dropped.
@@ -495,8 +497,9 @@ type (
 	FleetWindow = fleet.WindowSummary
 	// FleetProgress is a point-in-time view of the ingest pipeline
 	// (watermark, backlog, committed counts), fed to FleetConfig.OnProgress
-	// — window-close summaries flow separately to FleetConfig.OnWindow
-	// and to StatusServer.OnFleetProgress.
+	// and StatusServer.OnFleetProgress; its JSON form is the "fleet"
+	// section of /status.json. Window-close summaries flow separately, to
+	// FleetConfig.OnWindow and StatusServer.OnFleetWindow.
 	FleetProgress = fleet.Progress
 	// FleetSource is one machine's segment stream (live or replayed).
 	FleetSource = fleet.Source

@@ -84,7 +84,12 @@ echo "== serving tier: multi-client concurrency battery =="
 # capture path; their battery (100-subscriber churn, slow-client
 # eviction, cache coherence under mutation, the multi-client live-session
 # hammer, and a published analysis building its trace once under
-# concurrent first use) must hold under the race detector.
+# concurrent first use) must hold under the race detector. So must the
+# wire golden (TestServingWireGolden: every served body and hub event of
+# a faulted session, a sweep and a fleet run driving every hook, the
+# fleet's ingest and window goroutines included) and the freshness test
+# (TestServingStatusFreshAfterPublish: every hook that publishes moves
+# the /status.json ETag).
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestSSE|TestHub|TestETag|TestSubscribe|TestServing|TestCacheCoherence|TestTimeseries|TestLazyTrace' \
