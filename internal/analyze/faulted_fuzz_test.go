@@ -62,8 +62,9 @@ func realCapture(tb testing.TB) (hw.Capture, *tagfile.File) {
 // FuzzFaultedDecode streams fuzzer-controlled raw records — seeded from a
 // genuine capture, then mutated by bit flips, truncation, and whatever else
 // the fuzzer invents — through the full hardened pipeline: repairing
-// decoder, segment stitching, reconstruction. The pipeline must never
-// panic, the timeline must be well-formed, and the accounting must add up.
+// decoder, segment stitching, reconstruction, held to checkDecode. Its
+// netrecv corpus holds no context switch; FuzzProdayDecode runs the same
+// checks on streams that switch and adopt.
 func FuzzFaultedDecode(f *testing.F) {
 	c, tags := realCapture(f)
 	recs := c.Records
@@ -89,104 +90,122 @@ func FuzzFaultedDecode(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
-		recs := decodeRecords(data)
-		// split carves the stream into stitched segments, exercising the
-		// drain-boundary paths; 0 keeps one segment.
-		segLen := len(recs)
-		if split > 0 {
-			segLen = len(recs)/int(split%8+2) + 1
-		}
-		opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
-		// rc takes the records one Push at a time, rb one PushBatch per
-		// segment — the drain path's shape. Both must reconstruct the same
-		// capture.
-		// Stitch takes the same segments, which gives its analysis the
-		// trace the streamed ones do not keep.
-		rc := analyze.NewReconstructor(hw.Config{}, tags, opts)
-		rb := analyze.NewReconstructor(hw.Config{}, tags, opts)
-		var segs []hw.Capture
-		for lo := 0; lo < len(recs); lo += segLen {
-			hi := min(lo+segLen, len(recs))
-			for _, r := range recs[lo:hi] {
-				rc.Push(r)
-			}
-			rb.PushBatch(recs[lo:hi])
-			seg := hw.Capture{Records: recs[lo:hi]}
-			if hi < len(recs) {
-				// Odd splits are lossy boundaries, exercising force-close.
-				rc.EndSegment(uint64(split%2), false)
-				rb.EndSegment(uint64(split%2), false)
-				seg.Dropped = uint64(split % 2)
-			}
-			segs = append(segs, seg)
-		}
-		a := rc.Finish(false, 0)
-		b := rb.Finish(false, 0)
-		st := analyze.Stitch(segs, tags, opts)
-		if b.Stats != a.Stats || b.Idle != a.Idle || b.Switches != a.Switches {
-			t.Fatalf("PushBatch diverges from Push: stats %+v idle %v switches %d, want %+v idle %v switches %d",
-				b.Stats, b.Idle, b.Switches, a.Stats, a.Idle, a.Switches)
-		}
-		if got, want := b.SummaryString(0), a.SummaryString(0); got != want {
-			t.Fatalf("PushBatch summary differs from Push:\n--- Push\n%s--- PushBatch\n%s", want, got)
-		}
-		if got, want := st.SummaryString(0), a.SummaryString(0); got != want {
-			t.Fatalf("Stitch summary differs from Push:\n--- Push\n%s--- Stitch\n%s", want, got)
-		}
-		pa := export.MarshalPprof(a, export.PprofOptions{})
-		if pb := export.MarshalPprof(b, export.PprofOptions{}); !bytes.Equal(pb, pa) {
-			t.Fatal("PushBatch pprof differs from Push")
-		}
-		if ps := export.MarshalPprof(st, export.PprofOptions{}); !bytes.Equal(ps, pa) {
-			t.Fatal("Stitch pprof differs from Push")
-		}
-
-		if a.Stats.Records != len(recs) {
-			t.Fatalf("decoded %d records of %d", a.Stats.Records, len(recs))
-		}
-		// Each record adds at most one trace item, the bound Stitch and
-		// ReconstructCapture size the trace to once; the trees keep their
-		// conservation law; and the profile folded while streaming is the
-		// one a walk of the trace finds.
-		if len(st.Items()) > st.Stats.Records {
-			t.Fatalf("trace has %d items for %d records", len(st.Items()), st.Stats.Records)
-		}
-		if _, err := analyze.CheckConservation(st); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := analyze.CheckProfile(st); err != nil {
-			t.Fatal(err)
-		}
-		if a.End < a.Start {
-			t.Fatalf("End %v before Start %v", a.End, a.Start)
-		}
-		if a.RunTime() < 0 {
-			t.Fatalf("negative run time %v (elapsed %v, idle %v)", a.RunTime(), a.Elapsed(), a.Idle)
-		}
-		if a.Stats.CorruptRecords > len(recs) {
-			t.Fatalf("corrupt count %d exceeds record count %d", a.Stats.CorruptRecords, len(recs))
-		}
-		if a.Stats.RepairedTimestamps > len(recs) || a.Stats.Resyncs > len(recs) {
-			t.Fatalf("implausible repair accounting: %+v", a.Stats)
-		}
-		// Per-segment corrupt counts never exceed the capture total (the
-		// tail after the last boundary belongs to no segment, so the sum
-		// can fall short but never overshoot).
-		segCorrupt := 0
-		for _, seg := range a.Segments {
-			if seg.Corrupt < 0 || seg.Records < 0 {
-				t.Fatalf("negative segment accounting: %+v", seg)
-			}
-			segCorrupt += seg.Corrupt
-		}
-		if segCorrupt > a.Stats.CorruptRecords {
-			t.Fatalf("segment corrupt counts sum to %d, stats say %d", segCorrupt, a.Stats.CorruptRecords)
-		}
-		// The per-function stats must be internally consistent.
-		for _, s := range a.Functions() {
-			if s.TimedCalls > s.Calls {
-				t.Fatalf("%s: %d timed of %d calls", s.Name, s.TimedCalls, s.Calls)
-			}
-		}
+		checkDecode(t, tags, data, split)
 	})
+}
+
+// checkDecode is the check body both decode fuzzers run. It carves the
+// records in data into segments by split (0 keeps one segment, and odd
+// splits make lossy boundaries, which exercises force-close) and
+// reconstructs them three ways: one Push per record, one PushBatch per
+// segment (the drain path's shape), and a Stitch of the segments, which
+// keeps the trace the streamed ones drop. The three must agree to the
+// summary and pprof byte. The pipeline must not panic, the timeline must
+// be well-formed, the trees must keep their conservation law, the
+// profile folded while streaming must be the one a walk of the trace
+// finds, and the accounting must add up.
+func checkDecode(t *testing.T, tags *tagfile.File, data []byte, split uint8) {
+	recs := decodeRecords(data)
+	segLen := len(recs)
+	if split > 0 {
+		segLen = len(recs)/int(split%8+2) + 1
+	}
+	opts := analyze.ReconstructOptions{Repair: analyze.DefaultRepair()}
+	rc := analyze.NewReconstructor(hw.Config{}, tags, opts)
+	rb := analyze.NewReconstructor(hw.Config{}, tags, opts)
+	var segs []hw.Capture
+	for lo := 0; lo < len(recs); lo += segLen {
+		hi := min(lo+segLen, len(recs))
+		for _, r := range recs[lo:hi] {
+			rc.Push(r)
+		}
+		rb.PushBatch(recs[lo:hi])
+		seg := hw.Capture{Records: recs[lo:hi]}
+		if hi < len(recs) {
+			rc.EndSegment(uint64(split%2), false)
+			rb.EndSegment(uint64(split%2), false)
+			seg.Dropped = uint64(split % 2)
+		}
+		segs = append(segs, seg)
+	}
+	a := rc.Finish(false, 0)
+	b := rb.Finish(false, 0)
+	st := analyze.Stitch(segs, tags, opts)
+	if b.Stats != a.Stats || b.Idle != a.Idle || b.Switches != a.Switches {
+		t.Fatalf("PushBatch diverges from Push: stats %+v idle %v switches %d, want %+v idle %v switches %d",
+			b.Stats, b.Idle, b.Switches, a.Stats, a.Idle, a.Switches)
+	}
+	if got, want := b.SummaryString(0), a.SummaryString(0); got != want {
+		t.Fatalf("PushBatch summary differs from Push:\n--- Push\n%s--- PushBatch\n%s", want, got)
+	}
+	if got, want := st.SummaryString(0), a.SummaryString(0); got != want {
+		t.Fatalf("Stitch summary differs from Push:\n--- Push\n%s--- Stitch\n%s", want, got)
+	}
+	pa := export.MarshalPprof(a, export.PprofOptions{})
+	if pb := export.MarshalPprof(b, export.PprofOptions{}); !bytes.Equal(pb, pa) {
+		t.Fatal("PushBatch pprof differs from Push")
+	}
+	if ps := export.MarshalPprof(st, export.PprofOptions{}); !bytes.Equal(ps, pa) {
+		t.Fatal("Stitch pprof differs from Push")
+	}
+
+	if a.Stats.Records != len(recs) {
+		t.Fatalf("decoded %d records of %d", a.Stats.Records, len(recs))
+	}
+	// Each record adds at most one trace item, the bound Stitch and
+	// ReconstructCapture size the trace to once; the trees keep their
+	// conservation law; and the profile folded while streaming is the
+	// one a walk of the trace finds.
+	if len(st.Items()) > st.Stats.Records {
+		t.Fatalf("trace has %d items for %d records", len(st.Items()), st.Stats.Records)
+	}
+	if _, err := analyze.CheckConservation(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analyze.CheckProfile(st); err != nil {
+		t.Fatal(err)
+	}
+	if a.End < a.Start || a.RunTime() < 0 {
+		t.Fatalf("malformed timeline: start %v end %v run %v (elapsed %v, idle %v)",
+			a.Start, a.End, a.RunTime(), a.Elapsed(), a.Idle)
+	}
+	if a.Stats.CorruptRecords > len(recs) {
+		t.Fatalf("corrupt count %d exceeds record count %d", a.Stats.CorruptRecords, len(recs))
+	}
+	if a.Stats.RepairedTimestamps > len(recs) || a.Stats.Resyncs > len(recs) {
+		t.Fatalf("implausible repair accounting: %+v", a.Stats)
+	}
+	// Per-segment counts never exceed the capture totals (the tail after
+	// the last boundary belongs to no segment, so the sums can fall
+	// short but never overshoot).
+	segRecords, segCorrupt, forced := 0, 0, 0
+	for _, seg := range a.Segments {
+		if seg.Records < 0 || seg.Corrupt < 0 || seg.ForceClosed < 0 {
+			t.Fatalf("negative segment accounting: %+v", seg)
+		}
+		segRecords += seg.Records
+		segCorrupt += seg.Corrupt
+		forced += seg.ForceClosed
+	}
+	if segRecords > a.Stats.Records {
+		t.Fatalf("segments hold %d records, capture only %d", segRecords, a.Stats.Records)
+	}
+	if segCorrupt > a.Stats.CorruptRecords {
+		t.Fatalf("segment corrupt counts sum to %d, stats say %d", segCorrupt, a.Stats.CorruptRecords)
+	}
+	if forced > a.Recovered {
+		t.Fatalf("force-closed %d frames but Recovered only %d", forced, a.Recovered)
+	}
+	// The per-function stats must be internally consistent, and no
+	// record makes more than one call.
+	calls := 0
+	for _, s := range a.Functions() {
+		if s.TimedCalls > s.Calls || s.Calls < 0 {
+			t.Fatalf("%s: %d timed of %d calls", s.Name, s.TimedCalls, s.Calls)
+		}
+		calls += s.Calls
+	}
+	if calls > len(recs) {
+		t.Fatalf("%d calls reconstructed from %d records", calls, len(recs))
+	}
 }
