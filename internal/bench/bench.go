@@ -201,6 +201,31 @@ func drainedSegments(seed uint64) ([]hw.Capture, *tagfile.File, error) {
 	return segs, s.Tags, nil
 }
 
+// drainedProday runs proday for 2 s under continuous capture, as
+// `kprof -scenario proday -drain -duration 2s` does, and returns the full
+// analysis.
+func drainedProday(seed uint64) (*analyze.Analysis, error) {
+	p := workload.Params{Duration: 2 * sim.Second}
+	m := core.NewMachine(kernel.Config{Seed: seed})
+	if err := workload.ProdaySetup(m, p); err != nil {
+		return nil, err
+	}
+	s, err := core.NewSession(m, core.ProfileConfig{Mode: core.CaptureContinuous})
+	if err != nil {
+		return nil, err
+	}
+	s.Arm()
+	if _, err := workload.Proday(m, p); err != nil {
+		return nil, err
+	}
+	s.Disarm()
+	a := s.Analyze()
+	if a.Stats.Records == 0 || a.Stats.Dropped != 0 {
+		return nil, fmt.Errorf("bench: proday drain kept %d records, lost %d strobes", a.Stats.Records, a.Stats.Dropped)
+	}
+	return a, nil
+}
+
 // Run executes the benchmark suite and assembles the report.
 func Run(cfg Config) (*Report, error) {
 	rep := &Report{
@@ -515,6 +540,26 @@ func Run(cfg Config) (*Report, error) {
 	if err := serveBenchmarks(cfg, rep); err != nil {
 		return nil, err
 	}
+
+	// export/pprof: the -pprof export alone — WritePprof to io.Discard
+	// over the full analysis of one drained 2 s proday capture — measured
+	// per captured record. It runs last because the proday machine's
+	// parked processes stay reachable for the rest of the process.
+	pa, err := drainedProday(cfg.seed())
+	if err != nil {
+		return nil, err
+	}
+	pprofIters := 20
+	if cfg.Quick {
+		pprofIters = 6
+	}
+	pprofRes := measure("export/pprof", pa.Stats.Records, 1, pprofIters, func() {
+		if err := export.WritePprof(io.Discard, pa, export.PprofOptions{}); err != nil {
+			panic(err)
+		}
+	})
+	pprofRes.WallNoisy = true
+	rep.Benchmarks = append(rep.Benchmarks, pprofRes)
 
 	return rep, nil
 }

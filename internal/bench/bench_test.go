@@ -22,7 +22,7 @@ func TestRunQuick(t *testing.T) {
 		t.Fatalf("schema = %q, want %q", rep.Schema, Schema)
 	}
 	want := []string{"decode/steady", "decode/full", "decode/drained", "capture/drain", "capture/analyze", "sweep/multiseed", "scenario/proday", "fleet/ingest",
-		"pgo/plan", "serve/status_cached", "serve/status_uncached", "serve/sse_fanout"}
+		"pgo/plan", "serve/status_cached", "serve/status_uncached", "serve/sse_fanout", "export/pprof"}
 	if len(rep.Benchmarks) != len(want) {
 		t.Fatalf("got %d benchmarks, want %d", len(rep.Benchmarks), len(want))
 	}
