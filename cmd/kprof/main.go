@@ -100,7 +100,7 @@ func main() {
 		tagsOut    = flag.String("tagsout", "", "write the name/tag file to this file")
 		load       = flag.String("load", "", "analyze a saved capture instead of running a scenario")
 		tagsIn     = flag.String("tags", "", "name/tag file for -load")
-		pprofOut   = flag.String("pprof", "", "write the analysis as a gzipped pprof profile (view with `go tool pprof`)")
+		pprofOut   = flag.String("pprof", "", "write the analysis as a pprof profile in an uncompressed gzip container (view with `go tool pprof`)")
 		traceOut   = flag.String("trace", "", "write the analysis as a Chrome trace_event JSON file (view in Perfetto or chrome://tracing)")
 		httpAddr   = flag.String("http", "", "serve live capture status on this address, e.g. :6060 (JSON + HTML + SSE /events + /timeseries.json + live /pprof and /trace.json); keeps serving after the run")
 		ringCap    = flag.Int("ringcap", 0, "points retained per time-series ring on the -http endpoint (0 = 256 windows / 512 load samples)")

@@ -9,6 +9,8 @@
 package kprof_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"flag"
 	"fmt"
 	"os"
@@ -235,13 +237,14 @@ func TestGoldenNetReceiveLongDrain(t *testing.T) {
 	golden(t, "netrecv_long_drain_seed42.segments", a.SegmentsString())
 	golden(t, "netrecv_long_drain_seed42.summary", a.SummaryString(15))
 	golden(t, "netrecv_long_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
+	storedGzipMatches(t, a)
 }
 
 // The exporters are golden too: MarshalPprof assigns every id in
 // first-encounter order and WriteChromeTrace formats deterministically,
 // so both byte streams must reproduce exactly. The pprof golden holds the
-// raw (uncompressed) protobuf — the gzip layer is checked separately in
-// the export package's own tests.
+// raw (uncompressed) protobuf; the file WritePprof writes around it is
+// held to compress/gzip by storedGzipMatches.
 func TestGoldenPprofExport(t *testing.T) {
 	a := profileScenario(t, 42, func(m *kprof.Machine) {
 		if _, err := kprof.NetReceive(m, 60*sim.Millisecond); err != nil {
@@ -249,6 +252,35 @@ func TestGoldenPprofExport(t *testing.T) {
 		}
 	})
 	golden(t, "netrecv_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
+	storedGzipMatches(t, a)
+}
+
+// storedGzipMatches requires WritePprof to write exactly the bytes
+// gzip.NewWriterLevel(w, gzip.NoCompression) writes over MarshalPprof's
+// payload, and MarshalPprof to fill the buffer it sized.
+func storedGzipMatches(t *testing.T, a *kprof.Analysis) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := kprof.WritePprof(&got, a, kprof.PprofOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	payload := kprof.MarshalPprof(a, kprof.PprofOptions{})
+	if cap(payload) != len(payload) {
+		t.Errorf("MarshalPprof: %d bytes in a buffer of %d, not sized exactly", len(payload), cap(payload))
+	}
+	zw, err := gzip.NewWriterLevel(&want, gzip.NoCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WritePprof wrote %d bytes, compress/gzip at NoCompression %d: they differ", got.Len(), want.Len())
+	}
 }
 
 func TestGoldenChromeTraceExport(t *testing.T) {

@@ -1,10 +1,13 @@
 package export
 
+import "math/bits"
+
 // Minimal protobuf wire-format encoder — exactly the subset the pprof
 // profile.proto schema needs (varints, length-delimited submessages and
-// strings, packed repeated scalars). Hand-rolled so the repository stays
-// standard-library only; the encoding is deterministic byte for byte,
-// which the golden exporter tests rely on.
+// strings, packed repeated scalars) and the encoded lengths that size its
+// output. Hand-rolled so the repository stays standard-library only; the
+// encoding is deterministic byte for byte, which the golden exporter tests
+// rely on. Every pprof field number is below 16, so every key is one byte.
 
 // Wire types of the protobuf encoding.
 const (
@@ -26,68 +29,33 @@ func (p *protoBuf) varint(v uint64) {
 	p.b = append(p.b, byte(v))
 }
 
-// key appends a field key (field number + wire type).
-func (p *protoBuf) key(field, wire int) {
-	p.varint(uint64(field)<<3 | uint64(wire))
-}
-
-// uint64Field appends field=v, omitting the proto3 zero default.
-func (p *protoBuf) uint64Field(field int, v uint64) {
-	if v == 0 {
-		return
-	}
-	p.key(field, wireVarint)
-	p.varint(v)
-}
-
 // int64Field appends field=v, omitting the proto3 zero default. pprof's
 // schema never stores negative values in practice, but the two's-complement
 // varint form is the correct general encoding.
 func (p *protoBuf) int64Field(field int, v int64) {
-	if v == 0 {
-		return
+	if v != 0 {
+		p.varint(uint64(field)<<3 | wireVarint)
+		p.varint(uint64(v))
 	}
-	p.key(field, wireVarint)
-	p.varint(uint64(v))
-}
-
-// stringField appends field=s. Empty strings are omitted (proto3 default);
-// repeated-string entries that must be present even when empty (the string
-// table's index 0) go through bytesField instead.
-func (p *protoBuf) stringField(field int, s string) {
-	if s == "" {
-		return
-	}
-	p.bytesField(field, []byte(s))
 }
 
 // bytesField appends field=b as a length-delimited value, even when empty.
 func (p *protoBuf) bytesField(field int, b []byte) {
-	p.key(field, wireBytes)
+	p.varint(uint64(field)<<3 | wireBytes)
 	p.varint(uint64(len(b)))
 	p.b = append(p.b, b...)
 }
 
-// packedUint64 appends a packed repeated uint64 field.
-func (p *protoBuf) packedUint64(field int, vals []uint64) {
-	if len(vals) == 0 {
-		return
+// varintLen is the encoded length of v.
+func varintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// intLen is the encoded length of int64Field(_, v).
+func intLen(v int64) int {
+	if v == 0 {
+		return 0
 	}
-	var inner protoBuf
-	for _, v := range vals {
-		inner.varint(v)
-	}
-	p.bytesField(field, inner.b)
+	return 1 + varintLen(uint64(v))
 }
 
-// packedInt64 appends a packed repeated int64 field.
-func (p *protoBuf) packedInt64(field int, vals []int64) {
-	if len(vals) == 0 {
-		return
-	}
-	var inner protoBuf
-	for _, v := range vals {
-		inner.varint(uint64(v))
-	}
-	p.bytesField(field, inner.b)
-}
+// bytesLen is the encoded length of a length-delimited field of n bytes.
+func bytesLen(n int) int { return 1 + varintLen(uint64(n)) + n }

@@ -413,9 +413,14 @@ const TimeseriesSchema = export.TimeseriesSchema
 
 var (
 	// MarshalPprof encodes an Analysis as an uncompressed pprof protobuf
-	// profile with deterministic bytes.
+	// profile with deterministic bytes, into one buffer sized up front.
 	MarshalPprof = export.MarshalPprof
-	// WritePprof writes the gzipped pprof profile `go tool pprof` expects.
+	// WritePprof writes the pprof profile file `go tool pprof` expects: a
+	// gzip stream holding MarshalPprof's bytes stored, not compressed —
+	// byte for byte what compress/gzip writes at NoCompression. Leaving
+	// out the compressor saves its ~650 KB of state and most of the
+	// export's time; the file grows to the payload plus 28 bytes (8.3 KB
+	// for a 4 s netrecv-long capture, 38 KB for a 2 s proday one).
 	WritePprof = export.WritePprof
 	// WriteChromeTrace writes the Chrome trace_event JSON file Perfetto
 	// and chrome://tracing load.

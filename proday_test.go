@@ -93,6 +93,7 @@ func TestGoldenProdayDrain(t *testing.T) {
 	golden(t, "proday_drain_seed42.segments", a.SegmentsString())
 	golden(t, "proday_drain_seed42.summary", a.SummaryString(15))
 	golden(t, "proday_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
+	storedGzipMatches(t, a)
 
 	var cg strings.Builder
 	if err := a.CallGraph().Write(&cg, 0); err != nil {
