@@ -38,6 +38,34 @@ echo "== kbench module: vet + test =="
 echo "== long-scenario drain golden =="
 go test -run 'TestGoldenNetReceiveLongDrain|TestGoldenProdayDrain' .
 
+echo "== pprof export read back by go tool pprof and gzip =="
+# The -pprof file's real consumers read it: `go tool pprof` (part of the
+# toolchain) must parse each drained capture's profile and print its
+# samples, and gzip, where installed, must accept the container.
+pprof_tmp=$(mktemp -d)
+trap 'rm -rf "$pprof_tmp"' EXIT
+go build -o "$pprof_tmp/kprof" ./cmd/kprof
+for sc in netrecv-long proday; do
+	f=$pprof_tmp/$sc.pb.gz
+	"$pprof_tmp/kprof" -scenario $sc -drain -duration 1s -pprof "$f" >/dev/null
+	if ! raw=$(go tool pprof -raw "$f" 2>&1); then
+		echo "go tool pprof -raw failed on the $sc profile:"
+		echo "$raw"
+		exit 1
+	fi
+	case $raw in
+	*"Samples:"*) ;;
+	*)
+		echo "go tool pprof -raw printed no Samples: block for the $sc profile:"
+		echo "$raw"
+		exit 1
+		;;
+	esac
+	if command -v gzip >/dev/null 2>&1; then
+		gzip -t "$f"
+	fi
+done
+
 echo "== background drain decoder under the race detector =="
 # A continuous session decodes its drained segments on a background
 # goroutine: a recycling one hands readout buffers back and forth with the
