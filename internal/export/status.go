@@ -34,8 +34,8 @@ import (
 //     window summaries and ingest load samples (ring.go), the trend view
 //     a client joining mid-run has otherwise missed;
 //   - /pprof and /trace.json render the published live analysis through
-//     the existing exporter writers (pprof.go, trace.go), byte-identical
-//     to the file exports.
+//     the exporters (pprof.go, trace.go): the -trace file's bytes, and the
+//     payload the -pprof file stores inside its gzip container.
 
 // StatusSnapshot is everything /status.json serves. Its session, sweep
 // and fleet sections are the producers' own progress structs, whose JSON
