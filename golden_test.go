@@ -11,6 +11,7 @@ package kprof_test
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -295,6 +296,91 @@ func TestGoldenChromeTraceExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "netrecv_seed42.trace.json", b.String())
+}
+
+// The card's counter free-runs from power-on, so the stamp of a capture's
+// first record is arbitrary and only intervals carry meaning. Shifting the
+// counter's phase must leave every report byte-identical: the summary,
+// segment table, pprof payload, trace text, Chrome trace and decode
+// statistics at each phase equal those at phase 0, on netrecv and proday,
+// one-shot and drained. Only clean captures obey this: a stamp fault is an
+// XOR, and an XOR does not commute with a phase shift.
+func TestPowerOnPhaseLeavesReportsUnchanged(t *testing.T) {
+	proday := prodayParams
+	proday.Duration = 500 * sim.Millisecond
+	netrecv := func(d kprof.Time) func(m *kprof.Machine) error {
+		return func(m *kprof.Machine) error {
+			_, err := kprof.NetReceive(m, d)
+			return err
+		}
+	}
+	prodayRun := func(m *kprof.Machine) error {
+		_, err := kprof.Proday(m, proday)
+		return err
+	}
+	setupProday := func(m *kprof.Machine) error { return kprof.ProdaySetup(m, proday) }
+	drained := kprof.ProfileConfig{Mode: kprof.CaptureContinuous, Depth: 1024}
+	runs := []struct {
+		name  string
+		cfg   kprof.ProfileConfig
+		setup func(m *kprof.Machine) error
+		run   func(m *kprof.Machine) error
+	}{
+		{"netrecv one-shot", kprof.ProfileConfig{}, nil, netrecv(60 * sim.Millisecond)},
+		{"netrecv drained", drained, nil, netrecv(400 * sim.Millisecond)},
+		{"proday one-shot", kprof.ProfileConfig{}, setupProday, prodayRun},
+		{"proday drained", drained, setupProday, prodayRun},
+	}
+	outputs := []string{"summary", "segments", "pprof", "trace", "chrome trace", "stats"}
+	for _, r := range runs {
+		var base [][sha256.Size]byte
+		for _, phase := range []uint32{0, 1, 12345, 0x7FFFFF, 0xFFFF00, 0xFFFFFF} {
+			m := kprof.NewMachine(kprof.MachineConfig{Seed: 42})
+			if r.setup != nil {
+				if err := r.setup(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := kprof.NewSession(m, r.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Card.SetPowerOnCounter(phase)
+			s.Arm()
+			if err := r.run(m); err != nil {
+				t.Fatal(err)
+			}
+			s.Disarm()
+			if err := s.DrainErr(); err != nil {
+				t.Fatal(err)
+			}
+			a := s.Analyze()
+			var chrome strings.Builder
+			if err := kprof.WriteChromeTrace(&chrome, a); err != nil {
+				t.Fatal(err)
+			}
+			sums := make([][sha256.Size]byte, 0, len(outputs))
+			for _, out := range []string{
+				a.SummaryString(0),
+				a.SegmentsString(),
+				string(kprof.MarshalPprof(a, kprof.PprofOptions{})),
+				a.TraceString(kprof.TraceOptions{}),
+				chrome.String(),
+				fmt.Sprintf("%+v", a.Stats),
+			} {
+				sums = append(sums, sha256.Sum256([]byte(out)))
+			}
+			if base == nil {
+				base = sums
+				continue
+			}
+			for i := range sums {
+				if sums[i] != base[i] {
+					t.Errorf("%s: power-on counter %#x changes the %s", r.name, phase, outputs[i])
+				}
+			}
+		}
+	}
 }
 
 // The sweep aggregate is golden too: per-seed merges are deterministic in

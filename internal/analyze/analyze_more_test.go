@@ -132,7 +132,7 @@ func TestDecodeHighPrecisionClock(t *testing.T) {
 // card cannot.
 func TestHighPrecisionSeparatesShortCalls(t *testing.T) {
 	s := sim.NewScheduler()
-	proto := hw.New(16, s.Now)
+	proto := hw.NewWithConfig(hw.Config{Depth: 16}, s.Now)
 	fast := hw.NewWithConfig(hw.Config{Depth: 16, ClockHz: 10_000_000}, s.Now)
 	proto.Arm()
 	fast.Arm()

@@ -290,9 +290,12 @@ func TestGroups(t *testing.T) {
 	if groups[0].Name != "net" || groups[0].Net != 30*sim.Microsecond {
 		t.Fatalf("top group = %+v", groups[0])
 	}
-	out := GroupsString(groups)
-	if !strings.Contains(out, "net") || !strings.Contains(out, "fs") {
-		t.Fatalf("groups render:\n%s", out)
+	var out strings.Builder
+	if err := WriteGroups(&out, groups); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "net") || !strings.Contains(out.String(), "fs") {
+		t.Fatalf("groups render:\n%s", out.String())
 	}
 }
 
@@ -326,9 +329,8 @@ func TestWhatIfEstimators(t *testing.T) {
 	if opt.Estimate < 1100*sim.Microsecond || opt.Estimate > 1400*sim.Microsecond {
 		t.Fatalf("optimized estimate = %v, want ≈1200 µs", opt.Estimate)
 	}
-	report := WhatIfReport([]WhatIf{link, opt})
-	if !strings.Contains(report, "LOSS") || !strings.Contains(report, "win") {
-		t.Fatalf("report:\n%s", report)
+	if !strings.Contains(link.String(), "LOSS") || !strings.Contains(opt.String(), "win") {
+		t.Fatalf("verdicts: %v / %v", link, opt)
 	}
 }
 

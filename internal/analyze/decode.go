@@ -169,13 +169,6 @@ const resyncAfter = 3
 // DefaultRepair is the hardened pipeline's repair configuration: enabled.
 func DefaultRepair() RepairConfig { return RepairConfig{Enabled: true} }
 
-// NewDecoder returns a decoder for records captured under the given clock
-// configuration (zero values select the prototype card's 1 MHz, 24 bits).
-// Timestamp repair is off; see NewRepairingDecoder.
-func NewDecoder(cfg hw.Config, tags *tagfile.File) *Decoder {
-	return NewRepairingDecoder(cfg, tags, RepairConfig{})
-}
-
 // NewRepairingDecoder returns a decoder with the given monotonicity-repair
 // configuration.
 func NewRepairingDecoder(cfg hw.Config, tags *tagfile.File, repair RepairConfig) *Decoder {
@@ -191,23 +184,6 @@ func NewRepairingDecoder(cfg hw.Config, tags *tagfile.File, repair RepairConfig)
 	// file beside it, only ever read the table.
 	tags.ResolveIndex(0)
 	return d
-}
-
-// Next decodes one record. The unwrap is a modular difference against the
-// previous stamp, so decoded time never moves backwards regardless of the
-// raw stamp values (the out-of-order guard: a stamp that appears to regress
-// reads as a near-wrap forward interval, as on the real counter). Next
-// bypasses timestamp repair — repair needs one record of lookahead, which
-// the Push/Flush pair provides.
-func (d *Decoder) Next(r hw.Record) Event {
-	if !d.first {
-		delta := (r.Stamp - d.last) & d.mask
-		d.now += sim.Time(delta) * d.tick
-	}
-	d.first = false
-	d.last = r.Stamp
-	d.records++
-	return d.event(r, d.now, false)
 }
 
 // event builds the decoded event at the given time (see fill).
@@ -245,8 +221,12 @@ func (d *Decoder) fill(e *Event, r hw.Record, at sim.Time, repairedStamp bool) {
 }
 
 // Push decodes one record through the repair pipeline, invoking emit for
-// each event whose time is final. With repair disabled every record emits
-// immediately, exactly as Next decodes it; with repair enabled a suspect
+// each event whose time is final. The unwrap is a modular difference
+// against the previous stamp, so decoded time never moves backwards
+// regardless of the raw stamp values (the out-of-order guard: a stamp that
+// appears to regress reads as a near-wrap forward interval, as on the real
+// counter). With repair disabled every record emits immediately at its
+// unwrapped time; with repair enabled a suspect
 // record is buffered until its successor arrives (or Flush is called), so
 // one Push can emit zero, one, or two events.
 func (d *Decoder) Push(r hw.Record, emit func(Event)) {
@@ -349,18 +329,4 @@ func (d *Decoder) Stats() DecodeStats {
 		RepairedTimestamps: d.repaired,
 		Resyncs:            d.resyncs,
 	}
-}
-
-// Decode unwraps a whole capture at once (see Decoder for the streaming
-// path) and resolves tags against the name/tag file.
-func Decode(c hw.Capture, tags *tagfile.File) ([]Event, DecodeStats) {
-	d := NewDecoder(c.ClockConfig(), tags)
-	events := make([]Event, 0, len(c.Records))
-	for _, r := range c.Records {
-		events = append(events, d.Next(r))
-	}
-	stats := d.Stats()
-	stats.Overflowed = c.Overflowed
-	stats.Dropped = c.Dropped
-	return events, stats
 }

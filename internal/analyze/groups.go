@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"kprof/internal/sim"
 )
@@ -67,11 +66,4 @@ func WriteGroups(w io.Writer, groups []*GroupStat) error {
 		fmt.Fprintf(ew, "%-16s %6d %8d %10d %6.2f%%\n", g.Name, g.Fns, g.Calls, g.Net.Micros(), g.PctNet)
 	}
 	return ew.err
-}
-
-// GroupsString renders the subsystem breakdown to a string.
-func GroupsString(groups []*GroupStat) string {
-	var b strings.Builder
-	_ = WriteGroups(&b, groups)
-	return b.String()
 }

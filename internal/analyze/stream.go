@@ -290,8 +290,8 @@ func stitch(rc *Reconstructor, segs []hw.Capture) *Analysis {
 
 // ReconstructCapture runs the streaming reconstruction over one single-
 // readout capture. Pass opts.Repair = DefaultRepair() to survive corrupted
-// stamps, or the zero options to unwrap every stamp exactly as Decode
-// does. Without DiscardTrace the analysis keeps a reference to c's
+// stamps, or the zero options to unwrap every stamp with no repair.
+// Without DiscardTrace the analysis keeps a reference to c's
 // records, to build its trace on first use (see Analysis.Items).
 func ReconstructCapture(c hw.Capture, tags *tagfile.File, opts ReconstructOptions) *Analysis {
 	return reconstruct(opts, func(m mode) *Analysis {

@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"strings"
 
 	"kprof/internal/sim"
 )
@@ -74,13 +73,4 @@ func EstimateOptimizedChecksum(p PacketCost, fastNsPerByte, setup sim.Time) What
 	newCksum := setup + sim.Time(p.Bytes)*fastNsPerByte
 	est := p.Total() - p.Checksum + newCksum
 	return WhatIf{Name: "recode in_cksum (assembler-style)", Baseline: p.Total(), Estimate: est}
-}
-
-// WhatIfReport renders a set of alternatives.
-func WhatIfReport(ws []WhatIf) string {
-	var b strings.Builder
-	for _, w := range ws {
-		fmt.Fprintln(&b, w.String())
-	}
-	return b.String()
 }

@@ -410,17 +410,6 @@ func NewSession(m *Machine, cfg ProfileConfig) (*Session, error) {
 	return s, nil
 }
 
-// Detach unplugs the Profiler: trigger instructions remain (and still cost
-// their 400 ns) but latch nothing — the configuration used to show that a
-// profiled and unprofiled kernel behave indistinguishably.
-func (s *Session) Detach() { s.M.K.SetTrigger(nil) }
-
-// Reattach plugs the card back in.
-func (s *Session) Reattach() {
-	sock, linked := s.Socket, s.Linked
-	s.M.K.SetTrigger(func(va uint32) { sock.Read(linked.VirtToPhys(va)) })
-}
-
 // Arm flips the front-panel switch to begin capture. In continuous mode it
 // also starts the drain loop: a periodic poll of the card's fill level that
 // drains the RAM through the EPROM socket whenever the high-water mark is
@@ -473,9 +462,6 @@ func (s *Session) Reset() {
 	s.pipedA = nil
 	s.pipedSegs = 0
 }
-
-// Mode reports the session's capture mode.
-func (s *Session) Mode() CaptureMode { return s.mode }
 
 // FaultStats reports the attached fault injector's statistics; ok is false
 // when the session runs on pristine hardware.

@@ -435,7 +435,7 @@ func TestReadoutViaSocketMatchesDirectDump(t *testing.T) {
 	s.Disarm()
 
 	direct := s.Capture()
-	viaSocket, err := hw.ReadoutViaSocket(s.Socket, -1)
+	viaSocket, err := hw.ReadoutViaSocketInto(s.Socket, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

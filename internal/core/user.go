@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kprof/internal/sim"
-	"kprof/internal/tagfile"
 )
 
 // User-level profiling, per the paper's User Code Profiling section: "A
@@ -74,15 +73,6 @@ func (u *UserProgram) MustRegister(fnName string) *UserFn {
 	return f
 }
 
-// RegisterInline allocates a user inline ('=') trigger.
-func (u *UserProgram) RegisterInline(name string) (uint32, error) {
-	e, err := u.s.Tags.AssignInline(name)
-	if err != nil {
-		return 0, err
-	}
-	return UserBase + uint32(e.Tag), nil
-}
-
 // trigger performs the user-space load: the MMU routes the user virtual
 // address to the card's physical window.
 func (u *UserProgram) trigger(va uint32) {
@@ -101,26 +91,4 @@ func (u *UserProgram) Call(f *UserFn, body func()) {
 	u.trigger(f.entryAddr)
 	body()
 	u.trigger(f.exitAddr)
-}
-
-// Inline fires a user inline trigger previously allocated with
-// RegisterInline.
-func (u *UserProgram) Inline(addr uint32) { u.trigger(addr) }
-
-// Fn looks up a registered user function.
-func (u *UserProgram) Fn(name string) (*UserFn, bool) {
-	f, ok := u.fns[name]
-	return f, ok
-}
-
-// UserTags returns the tag-file entries belonging to this program (for
-// writing a separate per-program file, which Merge can recombine).
-func (u *UserProgram) UserTags() []tagfile.Entry {
-	var out []tagfile.Entry
-	for name := range u.fns {
-		if e, ok := u.s.Tags.Lookup(name); ok {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -38,9 +38,6 @@ func TestUserFunctionsShareTagSpace(t *testing.T) {
 	if _, err := u.Register("app_main"); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if len(u.UserTags()) != 1 {
-		t.Fatalf("UserTags = %v", u.UserTags())
-	}
 }
 
 func TestUserTriggersReachCard(t *testing.T) {
@@ -103,31 +100,6 @@ func TestMixedUserKernelTrace(t *testing.T) {
 	iMalloc := strings.Index(trace, "-> malloc")
 	if iMain < 0 || iSys < iMain || iMalloc < iSys {
 		t.Fatalf("trace does not nest user->syscall->malloc:\n%s", trace)
-	}
-}
-
-func TestUserInlineTrigger(t *testing.T) {
-	m, s, u := newUserSession(t)
-	addr, err := u.RegisterInline("CHECKPOINT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := u.MustRegister("loop")
-	s.Arm()
-	m.K.Spawn("app", func(p *kernel.Proc) {
-		u.Call(f, func() {
-			for i := 0; i < 3; i++ {
-				m.K.Advance(10 * sim.Microsecond)
-				u.Inline(addr)
-			}
-		})
-	})
-	m.K.Run(10 * sim.Millisecond)
-	s.Disarm()
-	a := s.Analyze()
-	st, ok := a.Fn("CHECKPOINT")
-	if !ok || st.Inlines != 3 {
-		t.Fatalf("checkpoint inlines = %+v", st)
 	}
 }
 

@@ -27,20 +27,34 @@ import (
 // golden exporter tests use.
 func netrecvAnalysis(t *testing.T, seed uint64, d sim.Time) *analyze.Analysis {
 	t.Helper()
-	sc, ok := workload.FindScenario("netrecv")
+	return scenarioAnalysis(t, "netrecv", seed, workload.Params{Duration: d}, core.ProfileConfig{})
+}
+
+// scenarioAnalysis profiles one registered scenario at seed under cfg.
+func scenarioAnalysis(t *testing.T, name string, seed uint64, p workload.Params, cfg core.ProfileConfig) *analyze.Analysis {
+	t.Helper()
+	sc, ok := workload.FindScenario(name)
 	if !ok {
-		t.Fatal("netrecv scenario not registered")
+		t.Fatalf("%s scenario not registered", name)
 	}
 	m := core.NewMachine(kernel.Config{Seed: seed})
-	s, err := core.NewSession(m, core.ProfileConfig{})
+	if sc.Setup != nil {
+		if err := sc.Setup(m, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := core.NewSession(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Arm()
-	if _, err := sc.Run(m, workload.Params{Duration: d}); err != nil {
+	if _, err := sc.Run(m, p); err != nil {
 		t.Fatal(err)
 	}
 	s.Disarm()
+	if err := s.DrainErr(); err != nil {
+		t.Fatal(err)
+	}
 	return s.Analyze()
 }
 
@@ -458,49 +472,85 @@ func decodeTrace(t *testing.T, a *analyze.Analysis) *traceFile {
 }
 
 // Every reconstructed frame becomes one complete event; the counts and
-// totals agree with the analysis.
+// totals agree with the analysis. WriteChromeTrace's law holds on every
+// scenario, one-shot and drained: per function, the X events not marked
+// complete:false number its TimedCalls, and the drain and drain loss
+// instants number the segments.
 func TestChromeTraceEvents(t *testing.T) {
-	a := netrecvAnalysis(t, 42, 20*sim.Millisecond)
-	tf := decodeTrace(t, a)
-	if tf.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit %q", tf.DisplayTimeUnit)
+	type run struct {
+		name string
+		a    *analyze.Analysis
 	}
-	enters, inlines := 0, 0
-	for _, it := range a.Items() {
-		switch it.Kind {
-		case analyze.TraceEnter:
-			enters++
-		case analyze.TraceInline:
-			inlines++
+	runs := []run{{"netrecv seed 42", netrecvAnalysis(t, 42, 20*sim.Millisecond)}}
+	p := workload.Params{Duration: 500 * sim.Millisecond}
+	for _, name := range []string{"netrecv-long", "proday", "mixed", "forkexec"} {
+		runs = append(runs,
+			run{name + " one-shot", scenarioAnalysis(t, name, 1, p, core.ProfileConfig{})},
+			run{name + " drained", scenarioAnalysis(t, name, 1, p, core.ProfileConfig{Mode: core.CaptureContinuous})})
+	}
+	for _, r := range runs {
+		a := r.a
+		tf := decodeTrace(t, a)
+		if tf.DisplayTimeUnit != "ms" {
+			t.Fatalf("%s: displayTimeUnit %q", r.name, tf.DisplayTimeUnit)
 		}
-	}
-	durs, instants, metas := 0, 0, 0
-	tids := map[int64]bool{}
-	for _, ev := range tf.TraceEvents {
-		switch ev.Ph {
-		case "X":
-			durs++
-			tids[ev.Tid] = true
-			if ev.Dur < 0 {
-				t.Fatalf("negative duration on %q", ev.Name)
+		enters, inlines := 0, 0
+		for _, it := range a.Items() {
+			switch it.Kind {
+			case analyze.TraceEnter:
+				enters++
+			case analyze.TraceInline:
+				inlines++
 			}
-		case "i":
-			instants++
-		case "M":
-			metas++
 		}
-	}
-	if durs != enters {
-		t.Fatalf("%d duration events, %d frames in the trace", durs, enters)
-	}
-	if instants != inlines { // no drain segments in a one-shot capture
-		t.Fatalf("%d instants, %d inline marks", instants, inlines)
-	}
-	if metas == 0 {
-		t.Fatal("no metadata events")
-	}
-	if a.Switches > 0 && len(tids) < 2 {
-		t.Fatalf("capture has %d context switches but all frames share %d tid(s)", a.Switches, len(tids))
+		durs, instants, metas, drains := 0, 0, 0, 0
+		timed := map[string]int{}
+		tids := map[int64]bool{}
+		for _, ev := range tf.TraceEvents {
+			switch ev.Ph {
+			case "X":
+				durs++
+				tids[ev.Tid] = true
+				if ev.Dur < 0 {
+					t.Fatalf("%s: negative duration on %q", r.name, ev.Name)
+				}
+				if ev.Args["complete"] != false {
+					timed[ev.Name]++
+				}
+			case "i":
+				instants++
+				if ev.Name == TraceEventDrain || ev.Name == TraceEventDrainLoss {
+					drains++
+				}
+			case "M":
+				metas++
+			}
+		}
+		if durs != enters {
+			t.Fatalf("%s: %d duration events, %d frames in the trace", r.name, durs, enters)
+		}
+		if instants != inlines+len(a.Segments) { // a clean capture has no decode-fault instant
+			t.Fatalf("%s: %d instants, %d inline marks and %d segments", r.name, instants, inlines, len(a.Segments))
+		}
+		if drains != len(a.Segments) {
+			t.Fatalf("%s: %d drain instants, %d segments", r.name, drains, len(a.Segments))
+		}
+		for _, f := range a.Functions() {
+			if timed[f.Name] != f.TimedCalls {
+				t.Errorf("%s: %s has %d complete X events, %d timed calls", r.name, f.Name, timed[f.Name], f.TimedCalls)
+			}
+			delete(timed, f.Name)
+		}
+		for name, n := range timed {
+			t.Errorf("%s: %d complete X events for %s, which the summary lacks", r.name, n, name)
+		}
+		if metas == 0 {
+			t.Fatalf("%s: no metadata events", r.name)
+		}
+		if a.Switches > 0 && len(tids) < 2 {
+			t.Fatalf("%s: capture has %d context switches but all frames share %d tid(s)", r.name, a.Switches, len(tids))
+		}
+		t.Logf("%s: %d functions, %d X events, %d segments", r.name, len(a.Functions()), durs, len(a.Segments))
 	}
 }
 
@@ -653,4 +703,10 @@ func TestStatusServerLiveSession(t *testing.T) {
 	if st.SegmentRecords != want {
 		t.Fatalf("status saw %d drained records, segments hold %d", st.SegmentRecords, want)
 	}
+}
+
+// Timeseries returns the current time-series document (what
+// /timeseries.json serves).
+func (s *StatusServer) Timeseries() Timeseries {
+	return s.ts.Load().document()
 }

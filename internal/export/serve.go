@@ -81,12 +81,6 @@ func (s *StatusServer) OnFleetWindow(ws fleet.WindowSummary) {
 	s.update("window", func(*StatusSnapshot) any { return p })
 }
 
-// Timeseries returns the current time-series document (what
-// /timeseries.json serves).
-func (s *StatusServer) Timeseries() Timeseries {
-	return s.ts.Load().document()
-}
-
 // HubStats returns the SSE hub's lifetime accounting.
 func (s *StatusServer) HubStats() HubStats {
 	return s.hub.stats()

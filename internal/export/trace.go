@@ -93,6 +93,11 @@ func traceUS(t sim.Time) string {
 // (Analysis.Items, built on first use), so an analysis without a trace —
 // lean, or finished through a streaming Reconstructor — renders only
 // metadata and segment boundaries.
+//
+// Read back with encoding/json, a trace with its timeline obeys one law
+// per function: the "X" events not marked "complete":false number the
+// function's FnStat.TimedCalls. The "drain" and "drain loss" instants
+// number len(Analysis.Segments).
 func WriteChromeTrace(w io.Writer, a *analyze.Analysis) error {
 	bw := bufio.NewWriter(w)
 	items := a.Items()

@@ -149,16 +149,5 @@ func (fd *FD) Copy(t *Table) *Table {
 	return nt
 }
 
-// OpenCount reports how many descriptors are in use.
-func (t *Table) OpenCount() int {
-	n := 0
-	for _, f := range t.slots {
-		if f != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Size reports the table capacity.
 func (t *Table) Size() int { return len(t.slots) }

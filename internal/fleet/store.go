@@ -452,13 +452,6 @@ func (st *Store) notifyLocked() {
 	}
 }
 
-// Progress reports the pipeline's current state.
-func (st *Store) Progress() Progress {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.progressLocked()
-}
-
 // Result assembles the finished report. Call it only after ingest and
 // projection have drained the store (project returned nil).
 func (st *Store) Result() *Result {

@@ -25,7 +25,6 @@ type Cache struct {
 	disk *Disk
 
 	fnBread   *kernel.Fn
-	fnBwrite  *kernel.Fn
 	fnBawrite *kernel.Fn
 	fnBrelse  *kernel.Fn
 	fnGetblk  *kernel.Fn
@@ -50,11 +49,12 @@ func NewCache(k *kernel.Kernel, disk *Disk, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheBlocks
 	}
+	fnBread := k.RegisterFn("vfs_bio", "bread")
+	k.RegisterFn("vfs_bio", "bwrite") // no model path writes through; the tag numbering keeps it
 	return &Cache{
 		k:         k,
 		disk:      disk,
-		fnBread:   k.RegisterFn("vfs_bio", "bread"),
-		fnBwrite:  k.RegisterFn("vfs_bio", "bwrite"),
+		fnBread:   fnBread,
 		fnBawrite: k.RegisterFn("vfs_bio", "bawrite"),
 		fnBrelse:  k.RegisterFn("vfs_bio", "brelse"),
 		fnGetblk:  k.RegisterFn("vfs_bio", "getblk"),
@@ -145,21 +145,6 @@ func (c *Cache) biowait(b *Buf) {
 	})
 }
 
-// Bwrite writes the block synchronously: start the I/O and wait for it.
-func (c *Cache) Bwrite(b *Buf) {
-	c.k.Call(c.fnBwrite, func() {
-		c.WriteIOs++
-		b.dirty = false
-		b.valid = true
-		b.inIO = true
-		c.disk.Submit(true, b.Blkno/8, SectorsPerBlock, func() {
-			b.inIO = false
-			c.k.Wakeup(b)
-		})
-		c.biowait(b)
-	})
-}
-
 // Bawrite writes the block asynchronously (write-behind): the caller
 // continues immediately; brelse happens at biodone.
 func (c *Cache) Bawrite(b *Buf) {
@@ -181,12 +166,6 @@ func (c *Cache) Brelse(b *Buf) {
 		c.k.Advance(costBrelse)
 		b.busy = false
 	})
-}
-
-// Cached reports whether a block is valid in the cache (for tests).
-func (c *Cache) Cached(blkno int) bool {
-	b, ok := c.bufs[blkno]
-	return ok && b.valid
 }
 
 // Len reports the number of buffers in the cache.

@@ -262,25 +262,6 @@ func TestDiskQueueing(t *testing.T) {
 	}
 }
 
-func TestBwriteSynchronous(t *testing.T) {
-	k, f := newFS()
-	var took sim.Time
-	k.Spawn("sync-writer", func(p *kernel.Proc) {
-		b := f.Cache.getblk(128)
-		start := k.Now()
-		f.Cache.Bwrite(b)
-		took = k.Now() - start
-	})
-	k.RunUntilIdle(5 * sim.Second)
-	// Synchronous write waits for all 16 sector interrupts.
-	if took < 3*sim.Millisecond {
-		t.Fatalf("bwrite returned after %v, want full device time", took)
-	}
-	if f.Disk.Writes != 1 {
-		t.Fatalf("writes = %d", f.Disk.Writes)
-	}
-}
-
 func TestCachedAccessor(t *testing.T) {
 	k, f := newFS()
 	ino := f.Create("c", BlockSize)

@@ -11,47 +11,17 @@ import (
 // The physical card stores each 40-bit record across five 8-bit static RAM
 // chips: two hold the 16-bit tag and three hold the 24-bit timestamp. When
 // the battery-backed Smart-Sockets are pulled and read out on a host, the
-// data arrives as five independent bank images. These helpers convert
-// between the record list and the bank images, and define the simple
-// host-side file format used to move captures around. A card with a wider
-// timer fits one more chip per 8 timer bits (Config.Banks); its socket
-// readout reads them all.
+// data arrives as five independent bank images. decodeLanes reassembles
+// the record list from the bank images a socket readout reads, and this
+// file defines the simple host-side file format used to move captures
+// around. A card with a wider timer fits one more chip per 8 timer bits
+// (Config.Banks); its socket readout reads them all.
 
 // NumBanks is the number of 8-bit RAM chips on the prototype card.
 const NumBanks = 5
 
 // maxBanks is the chip count of the widest card: a 32-bit timer.
 const maxBanks = 2 + 32/8
-
-// EncodeBanks lays the records out across the five RAM chip images:
-// bank 0 = tag low byte, bank 1 = tag high byte,
-// banks 2..4 = timestamp bits 0–7, 8–15, 16–23.
-func EncodeBanks(records []Record) [NumBanks][]byte {
-	var banks [NumBanks][]byte
-	for i := range banks {
-		banks[i] = make([]byte, len(records))
-	}
-	for i, r := range records {
-		banks[0][i] = byte(r.Tag)
-		banks[1][i] = byte(r.Tag >> 8)
-		banks[2][i] = byte(r.Stamp)
-		banks[3][i] = byte(r.Stamp >> 8)
-		banks[4][i] = byte(r.Stamp >> 16)
-	}
-	return banks
-}
-
-// DecodeBanks reassembles records from five RAM chip images. All banks must
-// be the same length.
-func DecodeBanks(banks [NumBanks][]byte) ([]Record, error) {
-	n := len(banks[0])
-	for i := 1; i < NumBanks; i++ {
-		if len(banks[i]) != n {
-			return nil, fmt.Errorf("hw: bank %d has %d bytes, bank 0 has %d", i, len(banks[i]), n)
-		}
-	}
-	return decodeLanes(banks[:], nil), nil
-}
 
 // decodeLanes reassembles records from equal-length bank images: banks 0
 // and 1 hold the tag's low and high byte, bank 2+i stamp bits 8i to 8i+7.

@@ -42,21 +42,12 @@ func (c Config) withDefaults() Config {
 // and one per 8 timer bits — five on the prototype, six at most.
 func (c Config) Banks() int { return 2 + int(c.TimerBits+7)/8 }
 
-// Wrap reports the timer modulus.
-func (c Config) Wrap() uint32 { return 1 << c.TimerBits }
-
 // Mask reports the stored-bits mask.
 func (c Config) Mask() uint32 { return 1<<c.TimerBits - 1 }
 
 // TickPeriod reports one counter tick as virtual time.
 func (c Config) TickPeriod() sim.Time {
 	return sim.Time(int64(sim.Second) / c.ClockHz)
-}
-
-// MaxInterval reports the longest interval between events before the
-// counter wraps and information is lost (the prototype's ≈16.7 s).
-func (c Config) MaxInterval() sim.Time {
-	return c.TickPeriod() * sim.Time(c.Wrap())
 }
 
 // NewWithConfig builds a card to a specific configuration.

@@ -31,7 +31,7 @@ func TestHigherPrecisionClock(t *testing.T) {
 
 func TestPrototypeCannotSeeSubMicrosecond(t *testing.T) {
 	s := sim.NewScheduler()
-	p := New(16, s.Now)
+	p := NewWithConfig(Config{Depth: 16}, s.Now)
 	p.Arm()
 	s.AdvanceTo(1 * sim.Microsecond)
 	p.Latch(1)
@@ -101,7 +101,7 @@ func TestCaptureFileCarriesClockConfig(t *testing.T) {
 
 func TestReadoutViaSocket(t *testing.T) {
 	s := sim.NewScheduler()
-	p := New(64, s.Now)
+	p := NewWithConfig(Config{Depth: 64}, s.Now)
 	sock := NewEPROMSocket(0xC8000, p)
 	p.Arm()
 	for i := 0; i < 10; i++ {
@@ -111,7 +111,7 @@ func TestReadoutViaSocket(t *testing.T) {
 	p.Disarm()
 	direct := p.Dump()
 
-	got, err := ReadoutViaSocket(sock, -1)
+	got, err := ReadoutViaSocketInto(sock, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReadoutViaSocket(t *testing.T) {
 
 func TestReadoutModeDisablesLatching(t *testing.T) {
 	s := sim.NewScheduler()
-	p := New(8, s.Now)
+	p := NewWithConfig(Config{Depth: 8}, s.Now)
 	sock := NewEPROMSocket(0xC8000, p)
 	p.Arm()
 	sock.Read(0xC8000 + 500)
@@ -173,7 +173,7 @@ func TestSelectBankValidation(t *testing.T) {
 
 func TestReadoutPastEndReadsFF(t *testing.T) {
 	s := sim.NewScheduler()
-	p := New(8, s.Now)
+	p := NewWithConfig(Config{Depth: 8}, s.Now)
 	sock := NewEPROMSocket(0xC8000, p)
 	p.Arm()
 	sock.Read(0xC8000 + 500)

@@ -105,15 +105,6 @@ type Profiler struct {
 	Dropped uint64
 }
 
-// New returns a prototype-configuration card with the given RAM depth,
-// timestamping from clock. A depth of 0 selects DefaultDepth.
-func New(depth int, clock func() sim.Time) *Profiler {
-	if depth < 0 {
-		panic("hw: negative profiler depth")
-	}
-	return NewWithConfig(Config{Depth: depth}, clock)
-}
-
 // SetPowerOnCounter sets the card counter's value at simulation time zero.
 // The physical counter free-runs from power-on, so its value at the first
 // capture is arbitrary; tests use this to exercise timer wraparound.

@@ -18,7 +18,7 @@ import (
 
 func newTestCard(depth int) (*sim.Scheduler, *Profiler) {
 	s := sim.NewScheduler()
-	return s, New(depth, s.Now)
+	return s, NewWithConfig(Config{Depth: depth}, s.Now)
 }
 
 func TestLatchStoresTagAndMicroseconds(t *testing.T) {
@@ -152,7 +152,7 @@ func TestNewValidation(t *testing.T) {
 			t.Fatal("expected panic for nil clock")
 		}
 	}()
-	New(8, nil)
+	NewWithConfig(Config{Depth: 8}, nil)
 }
 
 func TestEPROMSocketDecodesWindow(t *testing.T) {
@@ -196,17 +196,28 @@ func TestEPROMSocketContains(t *testing.T) {
 	}
 }
 
-func TestBankRoundTrip(t *testing.T) {
-	records := []Record{{502, 0}, {503, 16383}, {1386, TimerMask}, {65535, 0xABCDEF & TimerMask}}
-	banks := EncodeBanks(records)
-	for i := range banks {
-		if len(banks[i]) != len(records) {
-			t.Fatalf("bank %d has %d bytes", i, len(banks[i]))
-		}
+// bankRoundTrip stores records on a prototype card and reads them back bank
+// by bank through the socket window, as a faulted drain does: every byte
+// crosses a (pass-through) fault hook and decodeLanes reassembles them.
+func bankRoundTrip(t *testing.T, records []Record) []Record {
+	t.Helper()
+	_, p := newTestCard(len(records) + 1)
+	for _, r := range records {
+		p.store(r)
 	}
-	got, err := DecodeBanks(banks)
+	p.SetFaultHook(passThrough{})
+	c, err := ReadoutViaSocketInto(NewEPROMSocket(0xC8000, p), -1, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return c.Records
+}
+
+func TestBankRoundTrip(t *testing.T) {
+	records := []Record{{502, 0}, {503, 16383}, {1386, TimerMask}, {65535, 0xABCDEF & TimerMask}}
+	got := bankRoundTrip(t, records)
+	if len(got) != len(records) {
+		t.Fatalf("read back %d records, want %d", len(got), len(records))
 	}
 	for i := range records {
 		if got[i] != records[i] {
@@ -215,23 +226,20 @@ func TestBankRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeBanksLengthMismatch(t *testing.T) {
-	var banks [NumBanks][]byte
-	for i := range banks {
-		banks[i] = make([]byte, 4)
-	}
-	banks[3] = make([]byte, 3)
-	if _, err := DecodeBanks(banks); err == nil {
-		t.Fatal("expected error for mismatched bank lengths")
-	}
-}
-
+// The socket readout serves each stored record across the five chips:
+// bank 0 = tag low byte, bank 1 = tag high byte, banks 2..4 = timestamp
+// bits 0–7, 8–15, 16–23.
 func TestBankLayoutMatchesChipWiring(t *testing.T) {
-	banks := EncodeBanks([]Record{{Tag: 0x1234, Stamp: 0xABCDEF}})
+	_, p := newTestCard(8)
+	p.store(Record{Tag: 0x1234, Stamp: 0xABCDEF})
+	sock := NewEPROMSocket(0xC8000, p)
+	p.EnterReadout()
+	defer p.ExitReadout()
 	want := [NumBanks]byte{0x34, 0x12, 0xEF, 0xCD, 0xAB}
-	for i := range banks {
-		if banks[i][0] != want[i] {
-			t.Fatalf("bank %d byte = %#x, want %#x", i, banks[i][0], want[i])
+	for i, w := range want {
+		p.SelectBank(i)
+		if got := sock.Read(0xC8000); got != w {
+			t.Fatalf("bank %d byte = %#x, want %#x", i, got, w)
 		}
 	}
 }
@@ -279,8 +287,8 @@ func TestReadCaptureRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Property: bank encode/decode round-trips arbitrary records (with the
-// stamp masked to 24 bits, as the hardware stores).
+// Property: the bank readout round-trips arbitrary records (with the stamp
+// masked to 24 bits, as the hardware stores).
 func TestBankRoundTripProperty(t *testing.T) {
 	prop := func(tags []uint16, stamps []uint32) bool {
 		n := len(tags)
@@ -291,8 +299,8 @@ func TestBankRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			records[i] = Record{Tag: tags[i], Stamp: stamps[i] & TimerMask}
 		}
-		got, err := DecodeBanks(EncodeBanks(records))
-		if err != nil || len(got) != n {
+		got := bankRoundTrip(t, records)
+		if len(got) != n {
 			return false
 		}
 		for i := range records {

@@ -119,20 +119,16 @@ func (rb *ReadoutBuffer) bank(b, n int) []byte {
 	return rb.banks[b][:n]
 }
 
-// ReadoutViaSocket performs the full fast readout: bank by bank through
-// the window, reassembling the records host-side. The card is left in
-// normal mode, still holding its capture. Each bank dump ends with an
+// ReadoutViaSocketInto performs the full fast readout: bank by bank
+// through the window, reassembling the records host-side. The card is left
+// in normal mode, still holding its capture. Each bank dump ends with an
 // open-bus verify read; a glitched readout returns ErrReadoutVerify and
 // the caller must treat the bank as unread (the capture is still intact on
 // the card, but a live drain has no time to retry — see core's drain loop).
-func ReadoutViaSocket(sock *EPROMSocket, count int) (Capture, error) {
-	return ReadoutViaSocketInto(sock, count, nil)
-}
-
-// ReadoutViaSocketInto is ReadoutViaSocket draining into buf's storage, so
-// a drain loop that recycles consumed captures reads the card out without
-// allocating. A nil buf allocates fresh storage, exactly as
-// ReadoutViaSocket does; see ReadoutBuffer for the aliasing contract.
+//
+// The records land in buf's storage, so a drain loop that recycles
+// consumed captures reads the card out without allocating. A nil buf
+// allocates fresh storage; see ReadoutBuffer for the aliasing contract.
 //
 // With no fault hook on the data lines the records are copied out of the
 // RAM image once. That is the per-byte path's result: each bank serves one

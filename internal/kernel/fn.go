@@ -82,12 +82,6 @@ func (k *Kernel) registerFn(module, name string, asm bool) *Fn {
 	return f
 }
 
-// FindFn looks up a function by name.
-func (k *Kernel) FindFn(name string) (*Fn, bool) {
-	f, ok := k.fns[name]
-	return f, ok
-}
-
 // MustFn looks up a function that must exist.
 func (k *Kernel) MustFn(name string) *Fn {
 	f, ok := k.fns[name]
@@ -173,9 +167,6 @@ func (k *Kernel) CurrentFn() *Fn {
 	}
 	return st[len(st)-1]
 }
-
-// CallDepth reports the current context's nesting depth (for tests).
-func (k *Kernel) CallDepth() int { return len(*k.stack()) }
 
 // CallCost is shorthand for a leaf function whose body is a plain time cost.
 func (k *Kernel) CallCost(fn *Fn, cost sim.Time) {

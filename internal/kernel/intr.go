@@ -44,9 +44,6 @@ func (k *Kernel) Raise(irq *IRQ) {
 	k.pendClass |= irq.Class
 }
 
-// Pending reports whether the line is latched awaiting delivery.
-func (irq *IRQ) Pending() bool { return irq.pending }
-
 // nextDeliverable picks the pending line the mask admits with the lowest
 // pri, and recomputes pendClass on the way.
 func (k *Kernel) nextDeliverable() *IRQ {
@@ -118,9 +115,6 @@ func (k *Kernel) runIntr(irq *IRQ) {
 	k.intrNest--
 }
 
-// InInterrupt reports whether the CPU is in interrupt context.
-func (k *Kernel) InInterrupt() bool { return k.intrNest > 0 }
-
 // Software interrupts (the netisr mechanism). The 386 has no hardware ASTs,
 // so 386BSD keeps a word of pending soft-interrupt bits checked on the way
 // out of every hardware interrupt and whenever spl drops to 0.
@@ -159,9 +153,6 @@ func (k *Kernel) ScheduleSoft(bit uint32) {
 	k.softPend |= bit
 }
 
-// SoftPending reports the pending soft-interrupt word.
-func (k *Kernel) SoftPending() uint32 { return k.softPend }
-
 // runSoftIntrs drains admissible soft interrupts. Soft net handlers run
 // with soft-net (and soft-clock) masked so they do not re-enter.
 func (k *Kernel) runSoftIntrs() {
@@ -182,12 +173,4 @@ func (k *Kernel) runSoftIntrs() {
 		k.Exit(k.fnDoreti)
 		k.spl = saved
 	}
-}
-
-// SoftIntrStats reports scheduled/run counts for a registered bit.
-func (k *Kernel) SoftIntrStats(bit uint32) (scheduled, run uint64) {
-	if s, ok := k.softs[bit]; ok {
-		return s.Scheduled, s.Run
-	}
-	return 0, 0
 }

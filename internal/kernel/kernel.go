@@ -116,7 +116,6 @@ type Kernel struct {
 	fnGather    *Fn
 	fnSplnet    *Fn
 	fnSplbio    *Fn
-	fnSpltty    *Fn
 	fnSplclock  *Fn
 	fnSplhigh   *Fn
 	fnSplx      *Fn
@@ -126,7 +125,6 @@ type Kernel struct {
 	fnCopyout   *Fn
 	fnCopyinstr *Fn
 	fnBcopy     *Fn
-	fnBcopyb    *Fn
 	fnBzero     *Fn
 
 	// bcopyScaleNum/Den rescale Bcopy charges (SetBcopyScale); 0 = off.
@@ -188,13 +186,13 @@ func (k *Kernel) registerCore() {
 	k.fnDoreti = k.RegisterAsmFn("locore", "doreti")
 	k.fnSplnet = k.RegisterAsmFn("locore", "splnet")
 	k.fnSplbio = k.RegisterAsmFn("locore", "splbio")
-	k.fnSpltty = k.RegisterAsmFn("locore", "spltty")
+	k.RegisterAsmFn("locore", "spltty") // no model path raises it; the tag numbering keeps it
 	k.fnSplclock = k.RegisterAsmFn("locore", "splclock")
 	k.fnSplhigh = k.RegisterAsmFn("locore", "splhigh")
 	k.fnSplx = k.RegisterAsmFn("locore", "splx")
 	k.fnSpl0 = k.RegisterAsmFn("locore", "spl0")
 	k.fnBcopy = k.RegisterAsmFn("locore", "bcopy")
-	k.fnBcopyb = k.RegisterAsmFn("locore", "bcopyb")
+	k.RegisterAsmFn("locore", "bcopyb") // no model path calls it; the tag numbering keeps it
 	k.fnBzero = k.RegisterAsmFn("locore", "bzero")
 	k.fnCopyin = k.RegisterAsmFn("locore", "copyin")
 	k.fnCopyout = k.RegisterAsmFn("locore", "copyout")
@@ -222,18 +220,8 @@ func (k *Kernel) Now() sim.Time { return k.sched.Now() }
 // Rand exposes the kernel's deterministic PRNG.
 func (k *Kernel) Rand() *sim.Rand { return k.rng }
 
-// HZ reports the clock tick rate.
-func (k *Kernel) HZ() int { return hz }
-
 // Ticks reports how many hardclock interrupts have occurred.
 func (k *Kernel) Ticks() uint64 { return k.ticks }
-
-// CurProc reports the process whose context the CPU is in, or nil in the
-// idle loop / boot context.
-func (k *Kernel) CurProc() *Proc { return k.curproc }
-
-// SwtchFn returns the context-switch function; the tag file marks it '!'.
-func (k *Kernel) SwtchFn() *Fn { return k.fnSwtch }
 
 // Bcopy models the block-copy routine. cost accounts for the memory regions
 // involved; callers compute it with the bus package.
@@ -255,9 +243,6 @@ func (k *Kernel) SetBcopyScale(num, den int) {
 	}
 	k.bcopyScaleNum, k.bcopyScaleDen = num, den
 }
-
-// Bcopyb is the byte-wise variant used for console scrolling.
-func (k *Kernel) Bcopyb(cost sim.Time) { k.CallCost(k.fnBcopyb, cost) }
 
 // Bzero models block clear.
 func (k *Kernel) Bzero(cost sim.Time) { k.CallCost(k.fnBzero, cost) }

@@ -260,9 +260,6 @@ func (k *Kernel) Wakeup(ident any) {
 	})
 }
 
-// SleepersOn reports how many processes sleep on ident (for tests).
-func (k *Kernel) SleepersOn(ident any) int { return len(k.sleepers[ident]) }
-
 // Runnable reports the run-queue length (for tests).
 func (k *Kernel) Runnable() int { return len(k.runq) }
 

@@ -23,9 +23,6 @@ const (
 	MaskAll SPL = MaskNet | MaskBio | MaskTty | MaskClock | MaskSoftNet | MaskSoftClock
 )
 
-// CurrentSPL reports the mask in force.
-func (k *Kernel) CurrentSPL() SPL { return k.spl }
-
 // splRaise is the common body of the raising spl routines: charge the cost
 // of reprogramming the ICU, then add bits to the mask. Raising never
 // delivers interrupts.
@@ -44,15 +41,6 @@ func (k *Kernel) SplNet() SPL { return k.splRaise(k.fnSplnet, MaskNet|MaskSoftNe
 
 // SplBio blocks block-I/O interrupts.
 func (k *Kernel) SplBio() SPL { return k.splRaise(k.fnSplbio, MaskBio, k.costs.splRaise) }
-
-// SplTty blocks terminal interrupts.
-func (k *Kernel) SplTty() SPL { return k.splRaise(k.fnSpltty, MaskTty, k.costs.splRaise) }
-
-// SplClock blocks the clock (and, as on the real machine, everything the
-// clock path might take).
-func (k *Kernel) SplClock() SPL {
-	return k.splRaise(k.fnSplclock, MaskClock|MaskSoftClock, k.costs.splRaise)
-}
 
 // SplHigh blocks all interrupts.
 func (k *Kernel) SplHigh() SPL { return k.splRaise(k.fnSplhigh, MaskAll, k.costs.splHigh) }

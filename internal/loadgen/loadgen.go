@@ -184,16 +184,6 @@ func (g *Gen) Next() sim.Time {
 	return t
 }
 
-// Times returns the first n arrival times without needing a scheduler —
-// the property-test entry point.
-func (g *Gen) Times(n int) []sim.Time {
-	out := make([]sim.Time, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // Schedule arms arrival events on s from now until the until deadline,
 // calling fn(i) at the i-th arrival. Each event draws and arms the next
 // arrival BEFORE invoking fn, so nothing fn does (blocking, consuming

@@ -33,24 +33,6 @@ type Mbuf struct {
 	blk *Block // backing storage from the bucket allocator
 }
 
-// ChainLen reports the total data length of the chain starting at m.
-func (m *Mbuf) ChainLen() int {
-	n := 0
-	for ; m != nil; m = m.Next {
-		n += m.Len
-	}
-	return n
-}
-
-// ChainCount reports the number of mbufs in the chain.
-func (m *Mbuf) ChainCount() int {
-	c := 0
-	for ; m != nil; m = m.Next {
-		c++
-	}
-	return c
-}
-
 // MbufPool is the mbuf layer, Net/2 style: plain mbufs are malloc'd
 // individually with a small free list in front (MGET pops the list, falls
 // back to malloc; MFREE pushes, overflowing back to free). Under bursty
@@ -251,9 +233,6 @@ func (p *MbufPool) MFreeChain(m *Mbuf) int {
 	}
 	return n
 }
-
-// FreeListLen reports the plain free-list length (for tests).
-func (p *MbufPool) FreeListLen() int { return len(p.freeBlks) }
 
 // AppendChain links more onto the tail of head and returns the head (or
 // more, when head is nil).

@@ -217,13 +217,4 @@ func (a *Allocator) KmemFree(pages int) {
 	a.k.CallCost(a.fnKmemFree, costKmemFreeBase)
 }
 
-// BucketFree reports the free count of the bucket serving size (for tests).
-func (a *Allocator) BucketFree(size int) int {
-	bi := bucketFor(size)
-	if bi < 0 {
-		return 0
-	}
-	return a.buckets[bi].free
-}
-
 var _ = bus.MainMemory // the mbuf layer (mbuf.go) uses bus regions

@@ -51,6 +51,5 @@ const (
 	costSbWait        = 10 * sim.Microsecond
 	costSoWakeup      = 15 * sim.Microsecond
 	costSoReceiveBody = 60 * sim.Microsecond
-	costSoSendBody    = 55 * sim.Microsecond
 	costSoCreate      = 45 * sim.Microsecond
 )

@@ -75,10 +75,6 @@ func newWE(n *Net) *WE {
 	return we
 }
 
-// SetWire installs f as the sole receiver of frames the PC transmits. The
-// frame passed to f is only valid for the duration of the call; copy to keep.
-func (we *WE) SetWire(f func(frame []byte)) { we.wireTaps = []func([]byte){f} }
-
 // AddWireTap adds a receiver for transmitted frames alongside existing ones.
 // The frame passed to f is only valid for the duration of the call.
 func (we *WE) AddWireTap(f func(frame []byte)) { we.wireTaps = append(we.wireTaps, f) }

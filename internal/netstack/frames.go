@@ -12,7 +12,7 @@ package netstack
 //
 //   - A frame handed to NetDevice.HostDeliver or Transmit belongs to the
 //     device from that point on; the caller must not reuse or hold it.
-//   - Wire taps (SetWire/AddWireTap) see a transmitted frame only for the
+//   - Wire taps (AddWireTap) see a transmitted frame only for the
 //     duration of the call — a tap that wants to keep bytes must copy them.
 //   - A received frame is released when the mbuf chain built over it is
 //     freed (mem.Mbuf.Frame carries the reference).

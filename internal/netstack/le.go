@@ -99,9 +99,6 @@ func NewLE(n *Net, style DriverStyle) *LE {
 	return le
 }
 
-// SetWire installs f as the sole receiver of transmitted frames.
-func (le *LE) SetWire(f func(frame []byte)) { le.wireTaps = []func([]byte){f} }
-
 // AddWireTap adds a receiver of transmitted frames.
 func (le *LE) AddWireTap(f func(frame []byte)) { le.wireTaps = append(le.wireTaps, f) }
 

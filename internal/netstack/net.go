@@ -56,7 +56,6 @@ type Net struct {
 	fnUDPOutput *kernel.Fn
 	fnSoCreate  *kernel.Fn
 	fnSoReceive *kernel.Fn
-	fnSoSend    *kernel.Fn
 	fnSbAppend  *kernel.Fn
 	fnSbWait    *kernel.Fn
 	fnSoWakeup  *kernel.Fn

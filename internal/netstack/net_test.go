@@ -339,21 +339,3 @@ func TestNoListenerDropsSegment(t *testing.T) {
 		t.Fatalf("NoSocketDrops = %d", n.NoSocketDrops)
 	}
 }
-
-func TestSoSendSegmentsAndBlocksOnWindow(t *testing.T) {
-	k, n := newNet()
-	k.StartClock()
-	so, _ := n.SoCreate(ProtoTCP, 2000)
-	so.Connect(SparcAddr, 5002)
-	var sent int
-	k.Spawn("sender", func(p *kernel.Proc) {
-		sent = n.SoSend(p, so, make([]byte, 10*1460))
-	})
-	k.Run(2 * sim.Second)
-	if sent != 10 {
-		t.Fatalf("segments = %d, want 10", sent)
-	}
-	if n.Device().TxFrames != 10 {
-		t.Fatalf("TxFrames = %d", n.Device().TxFrames)
-	}
-}

@@ -43,7 +43,7 @@ type Socket struct {
 func (n *Net) registerSocketFns() {
 	n.fnSoCreate = n.k.RegisterFn("uipc_socket", "socreate")
 	n.fnSoReceive = n.k.RegisterFn("uipc_socket", "soreceive")
-	n.fnSoSend = n.k.RegisterFn("uipc_socket", "sosend")
+	n.k.RegisterFn("uipc_socket", "sosend") // no model path sends; the tag numbering keeps it
 	n.fnSbAppend = n.k.RegisterFn("uipc_socket2", "sbappend")
 	n.fnSbWait = n.k.RegisterFn("uipc_socket2", "sbwait")
 	n.fnSoWakeup = n.k.RegisterFn("uipc_socket2", "sowakeup")
@@ -208,45 +208,6 @@ func (n *Net) sbWait(so *Socket) {
 	n.k.Tsleep(&so.rcvChains, "sbwait", 0)
 	n.k.Exit(n.fnSbWait)
 }
-
-// SoSend transmits payload over the socket's connection in MSS-sized
-// segments, blocking for the ACK after each window — the FTP-style sender
-// of the filesystem study. It must run in process context. It returns the
-// number of segments sent.
-func (n *Net) SoSend(p *kernel.Proc, so *Socket, payload []byte) int {
-	segs := 0
-	n.k.Call(n.fnSoSend, func() {
-		n.k.Advance(costSoSendBody)
-		const mss = 1460
-		const window = 4096
-		for off := 0; off < len(payload); off += mss {
-			end := off + mss
-			if end > len(payload) {
-				end = len(payload)
-			}
-			chunk := payload[off:end]
-			n.k.Copyin(len(chunk))
-			if so.sndUnacked+len(chunk) > window {
-				// Window full: sleep until the peer's ACK arrives (or a
-				// short timeout — the simulated peers of the FTP study
-				// ack out-of-band).
-				n.k.Tsleep(&so.sndUnacked, "sbwait", 5)
-				so.sndUnacked = 0
-			}
-			so.sndUnacked += len(chunk)
-			if so.Proto == ProtoUDP {
-				n.udpOutput(so, chunk)
-			} else {
-				n.tcpOutput(so, chunk, FlagACK)
-			}
-			segs++
-		}
-	})
-	return segs
-}
-
-// RcvBuffered reports bytes waiting in the receive buffer (for tests).
-func (so *Socket) RcvBuffered() int { return so.rcvBytes }
 
 // freeChain releases a receive chain.
 func (n *Net) freeChain(chain *mem.Mbuf) {

@@ -142,8 +142,3 @@ func (so *Socket) Connect(peer uint32, rport uint16) {
 	so.tcb.peer = peer
 	so.tcb.rport = rport
 }
-
-// TCB exposes connection statistics for tests and reports.
-func (so *Socket) TCB() (segsIn, segsOut, dups, acks uint64) {
-	return so.tcb.SegsIn, so.tcb.SegsOut, so.tcb.DupSegs, so.tcb.AcksOut
-}

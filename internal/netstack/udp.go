@@ -61,8 +61,7 @@ func (n *Net) udpOutput(so *Socket, payload []byte) {
 	})
 }
 
-// SendUDPDatagram sends a single datagram outside SoSend's segmenting loop
-// (used by the NFS RPC layer).
+// SendUDPDatagram sends a single datagram (used by the NFS RPC layer).
 func (n *Net) SendUDPDatagram(so *Socket, payload []byte) {
 	n.udpOutput(so, payload)
 }

@@ -162,14 +162,6 @@ func (c *Client) ReadFile(p *kernel.Proc, size int) int {
 	return total
 }
 
-// MeanTurnaround reports the average RPC turnaround.
-func (c *Client) MeanTurnaround() sim.Time {
-	if c.Calls == 0 {
-		return 0
-	}
-	return c.TotalTurnaround / sim.Time(c.Calls)
-}
-
 const (
 	costNfsRequest = 120 * sim.Microsecond
 	costNfsReply   = 95 * sim.Microsecond

@@ -54,7 +54,7 @@ func TestReadFileLoops(t *testing.T) {
 	if c.Calls != 16 {
 		t.Fatalf("calls = %d", c.Calls)
 	}
-	if c.MeanTurnaround() == 0 {
+	if c.TotalTurnaround == 0 {
 		t.Fatal("no turnaround recorded")
 	}
 }

@@ -50,8 +50,7 @@ func (c Candidate) Overhead(triggerNs int64) int64 { return 2 * c.Calls * trigge
 // dimension is unconstrained.
 type Budget struct {
 	// Tags bounds the name/tag file space the plan may spend; every
-	// instrumented function costs an entry/exit pair (2 tags). Use
-	// tagfile.File.PairsRemaining to budget against a partly-spent file.
+	// instrumented function costs an entry/exit pair (2 tags).
 	Tags int
 	// OverheadNs bounds the total trigger overhead the plan may add to a
 	// run shaped like the prior profile.

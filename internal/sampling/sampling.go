@@ -129,14 +129,6 @@ func (s *Sampler) Fraction(name string) float64 {
 	return float64(s.hits[name]) / float64(busy)
 }
 
-// IdleFraction reports the sampled idle share.
-func (s *Sampler) IdleFraction() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return float64(s.hits["idle"]) / float64(s.total)
-}
-
 // Row is one line of the sampling report.
 type Row struct {
 	Name    string

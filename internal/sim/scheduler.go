@@ -12,9 +12,6 @@ type Event struct {
 	fn     func()
 }
 
-// When reports the virtual time the event is scheduled for.
-func (e *Event) When() Time { return e.when }
-
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e.index >= 0 }
 
@@ -24,7 +21,7 @@ func (e *Event) Scheduled() bool { return e.index >= 0 }
 // simulated kernel advances the clock in small cost-model increments and
 // asks the scheduler which device events fall inside each increment, so that
 // interrupts can preempt kernel code mid-function. Callers that just want to
-// run events in order can use Step or RunUntil.
+// run events in order can use RunUntil.
 type Scheduler struct {
 	now    Time
 	events eventHeap
@@ -166,18 +163,6 @@ func (s *Scheduler) RunDue() int {
 		n++
 	}
 	return n
-}
-
-// Step advances the clock to the next event and fires every event scheduled
-// for that instant. It reports false if no events remain.
-func (s *Scheduler) Step() bool {
-	next, ok := s.NextAt()
-	if !ok {
-		return false
-	}
-	s.now = next
-	s.RunDue()
-	return true
 }
 
 // RunUntil steps the simulation until the clock reaches t or no events

@@ -36,9 +36,3 @@ func (t Time) String() string {
 	}
 	return fmt.Sprintf("%s%d:%03d %03d", neg, us/1e6, us/1e3%1e3, us%1e3)
 }
-
-// DurationString formats t as a plain microsecond count ("1045 us"), used in
-// report bodies where the paper prints interval times.
-func (t Time) DurationString() string {
-	return fmt.Sprintf("%d us", t.Micros())
-}

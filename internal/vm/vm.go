@@ -56,24 +56,6 @@ type VMSpace struct {
 	Entries []*MapEntry
 }
 
-// TotalPages reports the address space size in pages.
-func (s *VMSpace) TotalPages() int {
-	n := 0
-	for _, e := range s.Entries {
-		n += e.Pages
-	}
-	return n
-}
-
-// ResidentPages reports how many pages are faulted in.
-func (s *VMSpace) ResidentPages() int {
-	n := 0
-	for _, e := range s.Entries {
-		n += e.Resident
-	}
-	return n
-}
-
 // Image describes a program image's memory layout in pages. DefaultImage is
 // a typical small utility of the period.
 type Image struct {

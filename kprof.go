@@ -34,7 +34,6 @@ package kprof
 
 import (
 	"kprof/internal/analyze"
-	"kprof/internal/bench"
 	"kprof/internal/core"
 	"kprof/internal/export"
 	"kprof/internal/faults"
@@ -44,7 +43,6 @@ import (
 	"kprof/internal/loadgen"
 	"kprof/internal/netstack"
 	"kprof/internal/pgo"
-	"kprof/internal/sampling"
 	"kprof/internal/sim"
 	"kprof/internal/snmp"
 	"kprof/internal/sweep"
@@ -428,45 +426,6 @@ var (
 	// NewStatusServer builds a live status endpoint.
 	NewStatusServer = export.NewStatusServer
 )
-
-// Benchmark harness: the deterministic perf-trajectory runner behind
-// `kprof -bench` and the committed BENCH_N.json artifacts (see
-// internal/bench). It measures records/sec, ns/record and allocs/record
-// for the analysis hot paths; scripts/bench_check.sh gates regressions.
-type (
-	// BenchConfig tunes a benchmark run (quick configuration, base seed).
-	BenchConfig = bench.Config
-	// BenchReport is the full benchmark artifact serialized as BENCH_N.json.
-	BenchReport = bench.Report
-	// BenchResult is one hot path's measurement within a BenchReport.
-	BenchResult = bench.Result
-	// BenchRegression is one benchmark that got worse between two artifacts.
-	BenchRegression = bench.Regression
-)
-
-// BenchSchema tags the BENCH_N.json format.
-const BenchSchema = bench.Schema
-
-// RunBench executes the benchmark suite and assembles the report.
-func RunBench(cfg BenchConfig) (*BenchReport, error) { return bench.Run(cfg) }
-
-// ReadBenchReport loads a BENCH_N.json artifact from disk.
-var ReadBenchReport = bench.ReadFile
-
-// CompareBench gates a new report against an old one, returning the
-// benchmarks that regressed past the tolerance (worst first; 0 =
-// the default 15 %).
-var CompareBench = bench.Compare
-
-// Sampler is the clock-sampling software profiler the paper contrasts the
-// hardware approach with (granularity versus perturbation).
-type Sampler = sampling.Sampler
-
-// NewSampler installs a sampling profiler at rate Hz; skewed adds the
-// pseudo-random period jitter the paper mentions.
-func NewSampler(m *Machine, rate int, skewed bool) *Sampler {
-	return sampling.New(m.K, rate, skewed)
-}
 
 // What-if estimation (the paper's Network Performance arithmetic).
 type (
